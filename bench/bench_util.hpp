@@ -15,7 +15,6 @@
 #include "g2g/core/experiment.hpp"
 #include "g2g/core/parallel.hpp"
 #include "g2g/core/report.hpp"
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/obs/tracer.hpp"
 
 namespace g2g::bench {
@@ -28,9 +27,6 @@ struct Options {
   bool obs = false;        ///< print counters + stage times for one config
   std::string trace_out;   ///< stream one representative run as JSONL
   std::string json_out;    ///< write BENCH_<name>.json telemetry here
-  /// Disable the crypto fast path (SHA-NI, heavy-HMAC chain reuse, Schnorr
-  /// tables, verification cache) and measure the reference implementations.
-  bool no_fastpath = false;
   std::size_t threads = 0;  ///< sweep worker threads (0 = hardware)
 };
 
@@ -66,15 +62,12 @@ inline Options parse_options(int argc, char** argv) {
     } else if (arg == "--json-out" && i + 1 < argc) {
       opt.json_out = argv[++i];
       require_writable(opt.json_out, "--json-out");
-    } else if (arg == "--no-fastpath") {
-      opt.no_fastpath = true;
-      crypto::set_fast_path(false);
     } else if (arg == "--threads" && i + 1 < argc) {
       opt.threads = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--quick] [--csv] [--runs N] [--seed S] [--obs]"
-                   " [--trace-out FILE] [--json-out FILE] [--no-fastpath]"
+                   " [--trace-out FILE] [--json-out FILE]"
                    " [--threads N]\n";
       std::exit(0);
     } else {
@@ -85,13 +78,6 @@ inline Options parse_options(int argc, char** argv) {
     }
   }
   return opt;
-}
-
-/// Apply the fast-path option to a config (the global toggle is set at parse
-/// time; this covers the per-run verification cache).
-inline core::ExperimentConfig with_options(core::ExperimentConfig cfg, const Options& opt) {
-  cfg.crypto_fast_path = !opt.no_fastpath;
-  return cfg;
 }
 
 inline std::vector<core::Scenario> both_scenarios(std::uint64_t seed) {
@@ -116,7 +102,6 @@ inline void emit(const core::Table& table, const Options& opt) {
 inline std::optional<core::ExperimentResult> obs_report(core::ExperimentConfig cfg,
                                                         const Options& opt) {
   if (!opt.obs && opt.trace_out.empty() && opt.json_out.empty()) return std::nullopt;
-  cfg = with_options(std::move(cfg), opt);
   std::unique_ptr<obs::JsonlSink> sink;
   if (!opt.trace_out.empty()) {
     sink = obs::JsonlSink::open(opt.trace_out);
@@ -154,8 +139,7 @@ inline std::optional<core::ExperimentResult> obs_report(core::ExperimentConfig c
 inline std::vector<std::pair<std::string, std::string>> option_pairs(const Options& opt) {
   return {{"quick", opt.quick ? "true" : "false"},
           {"runs", std::to_string(opt.runs)},
-          {"seed", std::to_string(opt.seed)},
-          {"fastpath", opt.no_fastpath ? "false" : "true"}};
+          {"seed", std::to_string(opt.seed)}};
 }
 
 /// Assemble telemetry cells from a sweep's names + CellTelemetry rows.

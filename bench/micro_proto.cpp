@@ -1,8 +1,7 @@
 // Micro-benchmarks of the protocol layer: sealed-message creation/opening,
 // PoR/PoM signing and verification, and the relay core's hot paths — wire
 // frame codecs (frames/sec), one full 5-step handshake, the audit storage
-// proof (audits/sec), and the batched PoM gossip re-verification — with the
-// crypto fast path on and off.
+// proof (audits/sec), and the batched PoM gossip re-verification.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/util/alloc_probe.hpp"
 #include "g2g/util/arena.hpp"
 #include "g2g/crypto/schnorr.hpp"
@@ -288,7 +286,6 @@ struct RelayWorld {
 /// One full 5-step handshake (RELAY_RQST .. KEY reveal, PoR verified) against
 /// a fresh taker each iteration.
 void BM_HandshakeRelayPass(benchmark::State& state) {
-  const bool prev = crypto::set_fast_path(state.range(0) != 0);
   auto world = std::make_unique<RelayWorld>();
   std::uint32_t next = 1;
   AllocMeter allocs;  // includes the periodic world rebuilds: durable-state
@@ -306,15 +303,15 @@ void BM_HandshakeRelayPass(benchmark::State& state) {
     giver.handshake().giver_pass(s, taker);
   }
   allocs.report(state);
-  crypto::set_fast_path(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HandshakeRelayPass)->ArgName("fastpath")->Arg(1)->Arg(0);
+BENCHMARK(BM_HandshakeRelayPass);
 
 /// The relay side of one POR_RQST challenge: no PoRs to present, so every
 /// audit recomputes the heavy-HMAC storage proof (paper-grade chain length).
+/// micro_crypto's BM_HeavyHmacReference/1024 times the same chain on the
+/// reference implementation.
 void BM_AuditStorageProof(benchmark::State& state) {
-  const bool prev = crypto::set_fast_path(state.range(0) != 0);
   RelayWorld world(/*heavy_iterations=*/1024);
   G2GEpidemicNode& src = world.net->node(NodeId(0));
   G2GEpidemicNode& relay_node = world.net->node(NodeId(1));
@@ -329,10 +326,9 @@ void BM_AuditStorageProof(benchmark::State& state) {
     benchmark::DoNotOptimize(relay_node.respond_test(s, world.h, seed));
   }
   allocs.report(state);
-  crypto::set_fast_path(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AuditStorageProof)->ArgName("fastpath")->Arg(1)->Arg(0);
+BENCHMARK(BM_AuditStorageProof);
 
 /// Re-verification of one session's gossiped PoMs: dedup by canonical bytes,
 /// structural checks, one Suite::verify_batch over the unique evidence.

@@ -53,7 +53,9 @@ int usage(const char* argv0) {
       "  --ttl-min   MINUTES                      override Delta1/TTL\n"
       "  --interarrival SECONDS                   traffic mean gap (default 4)\n"
       "  --seed S    --runs N                     repetitions average results\n"
-      "  --schnorr                                real public-key suite\n"
+      "  --schnorr                                sign with the (R,s) Schnorr/DH suite\n"
+      "                                           (schnorr-zp-rs) instead of the\n"
+      "                                           emulated fast-hmac suite\n"
       "  --csv                                    machine-readable output\n"
       "  --trace-out FILE                         stream simulation events (JSONL)\n"
       "  --obs                                    print protocol counters and\n"

@@ -24,8 +24,8 @@ namespace g2g::core {
 
 /// Registry serialization with control over the fastpath.* cache counters.
 /// to_json(ExperimentResult) excludes them (they describe how a run was
-/// computed, not what it computed — the cache-on/off bit-identity guard
-/// depends on that); to_json(Registry) includes them for obs reports.
+/// computed, not what it computed — the bit-identity guards depend on
+/// that); to_json(Registry) includes them for obs reports.
 [[nodiscard]] std::string registry_json(const obs::Registry& registry, bool include_fastpath);
 
 /// Serialize a wall-clock stage profile: [{"name":...,"seconds":...},...].

@@ -110,8 +110,8 @@ std::string to_json(const ExperimentResult& r) {
   // The counter snapshot is deterministic; the wall-clock stage profile is
   // not, so it is serialized separately (to_json(obs::StageProfile)). The
   // fastpath.* cache counters are excluded for the same reason: they reflect
-  // how the run was computed (cache on/off), not what it computed, and this
-  // serialization is the bit-identity oracle for cache-on vs cache-off runs.
+  // how the run was computed, not what it computed, and this serialization
+  // is the bit-identity oracle that compares runs across crypto routes.
   o << ",\"obs\":" << registry_json(r.counters, /*include_fastpath=*/false);
 
   o << "}";

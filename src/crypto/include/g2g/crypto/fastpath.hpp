@@ -1,34 +1,16 @@
-// Global crypto fast-path switch.
+// CPU feature detection for the accelerated crypto kernels.
 //
-// The fast path never changes any digest, signature, or verdict — every
-// accelerated routine is bit-identical to its reference implementation (the
-// differential suite in tests/crypto_fastpath_diff_test.cpp enforces this).
-// The switch exists so benchmarks can measure the reference path
-// (`--no-fastpath`) and so the differential tests can drive both sides of
-// each comparison from one process.
-//
-// Covered by the switch:
-//  - SHA-256 compression: SHA-NI hardware rounds vs the scalar FIPS 180-4 loop
-//  - heavy_hmac: precomputed-pad-state chain vs heavy_hmac_reference
-//  - Schnorr: fixed-base window tables vs square-and-multiply pow_mod
-//  - U256 modular arithmetic: Montgomery-form CIOS kernels (montgomery.hpp —
-//    mont window tables, multi_exp chains, the mont_pow ladder behind
-//    pow_mod_fast) vs the schoolbook shift-subtract mod in uint256.cpp
-//
-// NOT covered: the per-run verification cache (CachingSuite), which is gated
-// per experiment via ExperimentConfig::crypto_fast_path so cache-on/off runs
-// can be compared for bit-identical results.
+// The accelerated routines are the only runtime path. Each picks its kernel
+// from what it can observe — SHA-NI, AVX2 or scalar SHA-256 rounds by CPU, the
+// Montgomery or schoolbook reducer by modulus parity — and every choice is
+// bit-identical to its reference implementation. The references stay callable
+// as named oracles (Sha256MultiBackend::kScalar, heavy_hmac_reference, the
+// schoolbook mod/mul_mod/pow_mod, the free schnorr_rs_* functions), and
+// tests/crypto_fastpath_diff_test.cpp compares each fast routine against its
+// oracle directly.
 #pragma once
 
 namespace g2g::crypto {
-
-/// Turn the process-wide fast path on or off. Thread-safe; takes effect on
-/// the next crypto call. Returns the previous value.
-bool set_fast_path(bool on);
-
-/// True when accelerated implementations should be used. Defaults to true;
-/// the environment variable G2G_FASTPATH=0 disables it at startup.
-[[nodiscard]] bool fast_path_enabled();
 
 /// True when this CPU exposes the SHA-NI extensions (detection is cached).
 [[nodiscard]] bool sha_ni_available();
@@ -36,20 +18,5 @@ bool set_fast_path(bool on);
 /// True when this CPU exposes AVX2 (detection is cached). Feeds the
 /// multi-lane SHA-256 dispatch (sha256_compress_multi).
 [[nodiscard]] bool avx2_available();
-
-/// True when SHA-256 will actually use the hardware rounds right now.
-[[nodiscard]] bool sha_accelerated();
-
-/// RAII toggle for tests: forces the fast path on/off for a scope.
-class FastPathScope {
- public:
-  explicit FastPathScope(bool on) : prev_(set_fast_path(on)) {}
-  ~FastPathScope() { set_fast_path(prev_); }
-  FastPathScope(const FastPathScope&) = delete;
-  FastPathScope& operator=(const FastPathScope&) = delete;
-
- private:
-  bool prev_;
-};
 
 }  // namespace g2g::crypto

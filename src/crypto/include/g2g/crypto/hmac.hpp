@@ -43,9 +43,10 @@ class HmacKey {
 /// H_i = HMAC(s, H_{i-1} || m-digest). Each iteration re-keys from the seed so
 /// the chain cannot be precomputed before the seed is revealed.
 ///
-/// The default implementation reuses the precomputed seed key states and a
-/// fixed chain buffer; `heavy_hmac_reference` is the original straight-line
-/// chain kept for differential testing. Both return identical digests.
+/// heavy_hmac reuses the precomputed seed key states and a fixed chain
+/// buffer; `heavy_hmac_reference` is the original straight-line chain, kept
+/// as the oracle the differential tests compare heavy_hmac and
+/// heavy_hmac_batch against. Both return identical digests.
 [[nodiscard]] Digest heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations);
 [[nodiscard]] Digest heavy_hmac_reference(BytesView message, BytesView seed,
                                           std::uint32_t iterations);
@@ -65,8 +66,7 @@ struct HeavyHmacJob {
 /// states, so independent chains run in lockstep through the multi-lane
 /// compressor (sha256_compress_multi) in groups of kSha256MaxLanes. Every
 /// digest is bit-identical to heavy_hmac / heavy_hmac_reference on the same
-/// inputs; with the fast path off, each job routes through the reference
-/// chain instead.
+/// inputs.
 [[nodiscard]] std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs);
 
 /// Owning collector for deferring heavy-HMAC chains discovered one at a time

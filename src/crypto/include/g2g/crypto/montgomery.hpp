@@ -1,4 +1,4 @@
-// Montgomery-form arithmetic for U256 (R = 2^256) — the fast path behind
+// Montgomery-form arithmetic for U256 (R = 2^256) — the kernels behind
 // the modular reductions that dominate Schnorr verification.
 //
 // A value x is represented in Montgomery form as x·R mod m; mont_mul
@@ -9,11 +9,11 @@
 // where schnorr.cpp uses it: exponentiation chains and window tables that
 // stay in the domain across hundreds of multiplies.
 //
-// Oracle policy (docs/TESTING.md): everything here is a fast path behind
-// crypto::set_fast_path. The schoolbook shift-subtract reducer in
-// uint256.cpp (mod / mul_mod / pow_mod) is the always-available reference,
-// and the differential corpus in tests/crypto_fastpath_diff_test.cpp pins
-// every routine below to it bit for bit.
+// Oracle policy (docs/TESTING.md): every odd modulus takes these kernels.
+// The schoolbook shift-subtract reducer in uint256.cpp (mod / mul_mod /
+// pow_mod) is the reference, still used for even moduli and called directly
+// by the differential corpus in tests/crypto_fastpath_diff_test.cpp, which
+// pins every routine below to it bit for bit.
 //
 // Contracts (enforced by the differential corpus, not by runtime checks):
 //  * the modulus must be odd and > 1 — for_modulus throws otherwise;
@@ -22,7 +22,7 @@
 //  * to_mont accepts ANY U256 and reduces it (x ≥ m is folded to
 //    x mod m — rr < m makes the CIOS bound absorb the excess);
 //  * every result is the canonical representative in [0, m), which is what
-//    makes the fast path byte-identical to the classic path.
+//    makes these kernels byte-identical to the classic path.
 #pragma once
 
 #include "g2g/crypto/uint256.hpp"
@@ -61,10 +61,10 @@ struct MontgomeryParams {
 [[nodiscard]] U256 mont_pow(const U256& base_mont, const U256& exp,
                             const MontgomeryParams& params);
 
-/// base^exp mod m through the Montgomery ladder when the fast path is on
-/// and m is odd; the classic square-and-multiply pow_mod otherwise.
-/// Byte-identical either way — this is the drop-in for pow_mod call sites
-/// whose moduli are the (odd) group primes.
+/// base^exp mod m through the Montgomery ladder when m is odd and > 1; the
+/// classic square-and-multiply pow_mod otherwise. Byte-identical either way —
+/// this is the drop-in for pow_mod call sites whose moduli are the (odd)
+/// group primes.
 [[nodiscard]] U256 pow_mod_fast(const U256& base, const U256& exp, const U256& m);
 
 }  // namespace g2g::crypto

@@ -1,11 +1,17 @@
 // Schnorr signatures over a prime-order subgroup of Z_p*.
 //
 // The paper assumes every node can sign messages with a certified public key
-// (it suggests elliptic-curve signatures). We substitute a classic
-// finite-field Schnorr scheme: identical protocol role (existentially
-// unforgeable signatures for proofs of relay / misbehaviour, certificates),
-// different group. Parameters are generated deterministically and are
-// simulation-grade, NOT production-secure (see DESIGN.md).
+// (it suggests elliptic-curve signatures). We substitute a finite-field
+// Schnorr scheme: identical protocol role (existentially unforgeable
+// signatures for proofs of relay / misbehaviour, certificates), different
+// group. Signatures use the (R, s) form, the only one that batch-verifies.
+// Parameters are generated deterministically and are simulation-grade, NOT
+// production-secure (see DESIGN.md).
+//
+// Two routes compute the same keys, signatures and verdicts: SchnorrEngine
+// (fixed-base tables, cached Montgomery parameters, randomized batch
+// verification) runs in the suite, and the free schnorr_keygen /
+// schnorr_rs_sign / schnorr_rs_verify functions stay as its test oracle.
 #pragma once
 
 #include <array>
@@ -47,20 +53,10 @@ struct SchnorrKeyPair {
   U256 public_key;  ///< y = g^x mod p
 };
 
-struct SchnorrSignature {
-  U256 e;  ///< challenge  e = H(r || m) mod q
-  U256 s;  ///< response   s = (k - x*e) mod q
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static SchnorrSignature decode(BytesView b);
-};
-
-/// (R, s)-form Schnorr signature: transmits the commitment R = g^k instead of
-/// the challenge e = H(R || m). Same (k, e, s) triple as SchnorrSignature for
-/// the same secret/nonce — only the wire representation differs — but because
-/// the verifier checks the group equation g^s * y^e == R directly (instead of
-/// recomputing the hash from a reconstructed r), independent signatures can be
-/// combined into one randomized multi-exponentiation (verify_batch_rs).
+/// (R, s)-form Schnorr signature: transmits the commitment R = g^k rather
+/// than the challenge e = H(R || m). The verifier checks the group equation
+/// g^s * y^e == R directly, so independent signatures can be combined into
+/// one randomized multi-exponentiation (verify_batch_rs).
 struct SchnorrSignatureRS {
   U256 r;  ///< commitment R = g^k mod p
   U256 s;  ///< response   s = (k - x*e) mod q, with e = H(R || m) mod q
@@ -70,10 +66,6 @@ struct SchnorrSignatureRS {
 };
 
 [[nodiscard]] SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng);
-[[nodiscard]] SchnorrSignature schnorr_sign(const SchnorrGroup& group, const U256& secret,
-                                            BytesView message, Rng& rng);
-[[nodiscard]] bool schnorr_verify(const SchnorrGroup& group, const U256& public_key,
-                                  BytesView message, const SchnorrSignature& sig);
 
 [[nodiscard]] SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
                                                  BytesView message, Rng& rng);
@@ -89,10 +81,10 @@ struct SchnorrSignatureRS {
 /// table[w][d] = base^(d * 16^w) mod m, so pow(e) is one modular multiply per
 /// non-zero hex digit of e — ~n/4 multiplies for an n-bit exponent instead of
 /// the ~n squarings + ~n/2 multiplies of square-and-multiply. For an odd
-/// modulus the windows are mirrored into Montgomery form and, while the
-/// global fast path is on, pow() runs the whole digit chain in the domain
-/// (one mont_mul per digit plus a final from_mont). Exact either way: the
-/// result is bit-identical to pow_mod(base, e, m).
+/// modulus the windows are kept in Montgomery form and pow() runs the whole
+/// digit chain in the domain (one mont_mul per digit plus a final from_mont);
+/// an even modulus uses mul_mod. Exact either way: the result is
+/// bit-identical to pow_mod(base, e, m).
 class FixedBaseTable {
  public:
   FixedBaseTable() = default;
@@ -107,12 +99,9 @@ class FixedBaseTable {
 
  private:
   U256 modulus_;
+  // Montgomery form iff mont_ is engaged (the modulus is odd and > 1).
   std::vector<std::array<U256, 16>> windows_;
-  // Montgomery mirror of windows_ (present iff the modulus is odd and > 1).
-  // The classic windows_ are always built first, classically, so the
-  // reference digit chain exists untouched when the fast path is off.
   std::optional<MontgomeryParams> mont_;
-  std::vector<std::array<U256, 16>> mont_windows_;
 };
 
 /// One base/exponent pair for multi_exp.
@@ -142,18 +131,13 @@ struct SchnorrRSVerifyItem {
 /// variable-base powers (y^e), modular products, and the batch combination
 /// all run in Montgomery form. Produces byte-identical keys/signatures/
 /// verdicts to the free functions above — the accelerators only change how
-/// each canonical residue is computed. When the global fast path is off,
-/// every operation falls back to the reference pow_mod/mul_mod route.
+/// each canonical residue is computed.
 class SchnorrEngine {
  public:
   explicit SchnorrEngine(const SchnorrGroup& group);
 
   [[nodiscard]] const SchnorrGroup& group() const { return group_; }
   [[nodiscard]] SchnorrKeyPair keygen(Rng& rng) const;
-  [[nodiscard]] SchnorrSignature sign(const U256& secret, BytesView message, Rng& rng) const;
-  [[nodiscard]] bool verify(const U256& public_key, BytesView message,
-                            const SchnorrSignature& sig) const;
-
   [[nodiscard]] SchnorrSignatureRS sign_rs(const U256& secret, BytesView message, Rng& rng) const;
   [[nodiscard]] bool verify_rs(const U256& public_key, BytesView message,
                                const SchnorrSignatureRS& sig) const;
@@ -169,9 +153,9 @@ class SchnorrEngine {
 
  private:
   [[nodiscard]] U256 pow_g(const U256& exponent) const;
-  /// base^exponent mod p — Montgomery ladder when the fast path is on.
+  /// base^exponent mod p — Montgomery ladder for an odd p.
   [[nodiscard]] U256 pow_p(const U256& base, const U256& exponent) const;
-  /// a*b mod p / mod q — one to_mont + one mont_mul when the fast path is on.
+  /// a*b mod p / mod q — one to_mont + one mont_mul for an odd modulus.
   [[nodiscard]] U256 mul_p(const U256& a, const U256& b) const;
   [[nodiscard]] U256 mul_q(const U256& a, const U256& b) const;
 

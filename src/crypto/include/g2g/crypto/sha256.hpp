@@ -33,8 +33,8 @@ enum class Sha256MultiBackend { kAuto, kShaNi, kAvx2, kScalar };
 /// Compress `blocks_per_lane` consecutive 64-byte blocks into each of `lanes`
 /// independent chaining states (lanes <= kSha256MaxLanes). states[l] points
 /// at 8 state words; blocks[l] at 64 * blocks_per_lane bytes. All backends
-/// are bit-identical to running the scalar FIPS 180-4 rounds per lane; kAuto
-/// honours the global fast-path switch (reference = scalar loop).
+/// are bit-identical to running the scalar FIPS 180-4 rounds per lane, so
+/// kScalar is the oracle the other backends are tested against.
 void sha256_compress_multi(std::uint32_t* const* states, const std::uint8_t* const* blocks,
                            std::size_t lanes, std::size_t blocks_per_lane = 1,
                            Sha256MultiBackend backend = Sha256MultiBackend::kAuto);

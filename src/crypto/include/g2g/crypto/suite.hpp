@@ -1,8 +1,9 @@
 // Pluggable signature/key-agreement suite.
 //
 // Two implementations:
-//  * SchnorrSuite — the real public-key path (schnorr.hpp). Used by default in
-//    examples, unit tests and the crypto micro-benches.
+//  * SchnorrSuite — the real public-key path: (R, s)-form Schnorr signatures
+//    and Diffie–Hellman (schnorr.hpp). Used by `g2gsim --schnorr`, unit tests
+//    and the crypto micro-benches.
 //  * FastSuite — a symmetric emulation for large simulation sweeps: a
 //    "signature" is HMAC(K_pub, msg) where K_pub = HMAC(suite_seed, pub) is a
 //    per-key MAC key derivable only through the suite (which plays the role of
@@ -53,11 +54,10 @@ class Suite {
   /// `verdicts` must have room for `requests.size()` entries. The default
   /// simply loops over verify(); overrides use the batch shape to amortize
   /// work. The caching suite answers repeats from its memo and forwards only
-  /// the misses in one inner call; the (R, s)-form Schnorr suite folds the
-  /// whole batch into one randomized multi-exponentiation and falls back to
+  /// the misses in one inner call; the Schnorr suite folds the whole batch
+  /// into one randomized multi-exponentiation and falls back to
   /// per-signature checks only when the combined equation rejects, so
-  /// verdicts stay exact per request. (The classic e = H(r || m) form
-  /// commits to the challenge and cannot be combined this way.)
+  /// verdicts stay exact per request.
   virtual void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       verdicts[i] = verify(requests[i].public_key, requests[i].message,
@@ -76,14 +76,11 @@ using SuitePtr = std::shared_ptr<const Suite>;
 
 struct SchnorrGroup;  // schnorr.hpp
 
-/// Real Schnorr/DH suite over the given group (default_group() if omitted).
+/// Real (R, s)-form Schnorr/DH suite over the given group (default_group()
+/// if omitted). Signatures transmit the commitment R, which lets
+/// verify_batch run one randomized batch check.
 [[nodiscard]] SuitePtr make_schnorr_suite();
 [[nodiscard]] SuitePtr make_schnorr_suite(const SchnorrGroup& group);
-/// (R, s)-form Schnorr/DH suite: same keys, nonces and DH as the classic
-/// suite, but signatures transmit the commitment R instead of the challenge,
-/// which unlocks true randomized batch verification in verify_batch.
-[[nodiscard]] SuitePtr make_schnorr_rs_suite();
-[[nodiscard]] SuitePtr make_schnorr_rs_suite(const SchnorrGroup& group);
 /// Symmetric emulation suite; `seed` is the suite-wide MAC-key seed.
 [[nodiscard]] SuitePtr make_fast_suite(std::uint64_t seed = 0x4732674d41435353ULL);
 

@@ -5,16 +5,16 @@
 // are audited by giver and taker, and certificates travel with every
 // handshake. Verification is pure — same (pubkey, message, signature) in,
 // same verdict out — so a per-run memo answers the repeats in one table
-// lookup. Shared secrets are cached the same way (key agreement is also
-// pure in its two keys).
+// lookup. Every other call (keygen, sign, key agreement) passes straight
+// through.
 //
 // The wrapper is semantically invisible: verdicts, signatures, and key
-// material are bit-identical with the cache on or off, and the protocol's
+// material are bit-identical to the inner suite's, and the protocol's
 // *cost model* (proto::NodeCosts verification counts) is charged by the node
 // layer before the suite is consulted, so simulated energy accounting does
 // not change either. The only observable difference is wall clock and the
-// fastpath.* counters, which core::to_json(ExperimentResult) excludes for
-// exactly that reason.
+// fastpath.verify_cache.* counters, which core::to_json(ExperimentResult)
+// excludes for exactly that reason.
 //
 // Not thread-safe: each Network owns a private instance (one simulation runs
 // on one thread; the sweep pool parallelizes across runs, not within one).
@@ -34,8 +34,6 @@ class CachingSuite final : public Suite {
   struct Stats {
     std::uint64_t verify_hits = 0;
     std::uint64_t verify_misses = 0;
-    std::uint64_t secret_hits = 0;
-    std::uint64_t secret_misses = 0;
   };
 
   explicit CachingSuite(SuitePtr inner);
@@ -62,7 +60,6 @@ class CachingSuite final : public Suite {
 
   SuitePtr inner_;
   mutable std::unordered_map<Digest, bool, DigestHash> verify_cache_;
-  mutable std::unordered_map<Digest, Bytes, DigestHash> secret_cache_;
   mutable Stats stats_;
 };
 

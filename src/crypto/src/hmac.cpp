@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "g2g/crypto/fastpath.hpp"
-
 namespace g2g::crypto {
 
 namespace {
@@ -54,7 +52,6 @@ Digest HmacKey::mac(BytesView a, BytesView b) const {
 }
 
 Digest heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations) {
-  if (!fast_path_enabled()) return heavy_hmac_reference(message, seed, iterations);
   // Hash the message once so each iteration touches a fixed-size state; the
   // cost knob is the iteration count, independent of message length.
   const Digest m_digest = sha256(message);
@@ -155,13 +152,6 @@ void run_heavy_lanes(std::span<HeavyLane> lanes, std::vector<Digest>& out) {
 
 std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs) {
   std::vector<Digest> out(jobs.size());
-  if (!fast_path_enabled()) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      out[i] = heavy_hmac_reference(jobs[i].message, jobs[i].seed, jobs[i].iterations);
-    }
-    return out;
-  }
-
   std::array<HeavyLane, kSha256MaxLanes> lanes;
   for (std::size_t base = 0; base < jobs.size(); base += kSha256MaxLanes) {
     const std::size_t n = std::min(kSha256MaxLanes, jobs.size() - base);

@@ -1,9 +1,9 @@
 #include "g2g/crypto/schnorr.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/montgomery.hpp"
 
 namespace g2g::crypto {
@@ -92,19 +92,6 @@ bool SchnorrGroup::valid(Rng& rng) const {
   return pow_mod_fast(g, q, p) == U256(1);
 }
 
-Bytes SchnorrSignature::encode() const {
-  Writer w(64);
-  w.raw(e.to_bytes_be());
-  w.raw(s.to_bytes_be());
-  return std::move(w).take();
-}
-
-SchnorrSignature SchnorrSignature::decode(BytesView b) {
-  if (b.size() != 64) throw DecodeError("bad Schnorr signature length");
-  return SchnorrSignature{U256::from_bytes_be(b.subspan(0, 32)),
-                          U256::from_bytes_be(b.subspan(32, 32))};
-}
-
 Bytes SchnorrSignatureRS::encode() const {
   Writer w(64);
   w.raw(r.to_bytes_be());
@@ -124,30 +111,8 @@ SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng) {
   return SchnorrKeyPair{x, pow_mod_fast(group.g, x, group.p)};
 }
 
-SchnorrSignature schnorr_sign(const SchnorrGroup& group, const U256& secret, BytesView message,
-                              Rng& rng) {
-  bool borrow = false;
-  const U256 k = add_mod(random_below(rng, sub(group.q, U256(1), borrow)), U256(1), group.q);
-  const U256 r = pow_mod_fast(group.g, k, group.p);
-  const U256 e = challenge(group, r, message);
-  const U256 s = sub_mod(k, mul_mod(secret, e, group.q), group.q);
-  return SchnorrSignature{e, s};
-}
-
-bool schnorr_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
-                    const SchnorrSignature& sig) {
-  if (sig.e >= group.q || sig.s >= group.q) return false;
-  // r' = g^s * y^e mod p;   valid iff H(r' || m) == e
-  const U256 gs = pow_mod_fast(group.g, sig.s, group.p);
-  const U256 ye = pow_mod_fast(public_key, sig.e, group.p);
-  const U256 r = mul_mod(gs, ye, group.p);
-  return challenge(group, r, message) == sig.e;
-}
-
 SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
                                    BytesView message, Rng& rng) {
-  // Same draws and same (k, e, s) as schnorr_sign — only the transmitted pair
-  // changes, so the two forms stay interconvertible for the same nonce.
   bool borrow = false;
   const U256 k = add_mod(random_below(rng, sub(group.q, U256(1), borrow)), U256(1), group.q);
   const U256 r = pow_mod_fast(group.g, k, group.p);
@@ -181,96 +146,65 @@ FixedBaseTable::FixedBaseTable(const U256& base, const U256& modulus, std::size_
     for (int d = 2; d < 16; ++d) window[d] = mul_mod(window[d - 1], cur, modulus_);
     cur = mul_mod(window[15], cur, modulus_);
   }
-  // Mirror the classically-built windows into Montgomery form (canonical
-  // residues map one-to-one, so both digit chains compute identical values).
+  // For an odd modulus, map the windows into Montgomery form (canonical
+  // residues map one-to-one, so the digit chain computes identical values).
   if (modulus_.bit(0) && modulus_ != U256(1)) {
     mont_ = MontgomeryParams::for_modulus(modulus_);
-    mont_windows_.resize(windows_.size());
-    for (std::size_t w = 0; w < windows_.size(); ++w) {
-      for (std::size_t d = 0; d < 16; ++d) {
-        mont_windows_[w][d] = to_mont(windows_[w][d], *mont_);
-      }
+    for (auto& window : windows_) {
+      for (auto& entry : window) entry = to_mont(entry, *mont_);
     }
   }
 }
 
 U256 multi_exp(std::span<const MultiExpTerm> terms, const U256& modulus) {
   if (terms.empty()) return U256(1);
-  if (fast_path_enabled() && modulus.bit(0) && modulus != U256(1)) {
-    // Same window/squaring schedule as the classic loop below, run entirely
-    // in the Montgomery domain: every intermediate is the Montgomery image of
-    // the classic intermediate, so the final from_mont is bit-identical.
-    const MontgomeryParams params = MontgomeryParams::for_modulus(modulus);
-    std::vector<std::array<U256, 16>> pows(terms.size());
-    std::size_t max_bits = 0;
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      pows[i][1] = to_mont(terms[i].base, params);  // reduces bases >= m
-      for (int d = 2; d < 16; ++d) pows[i][d] = mont_mul(pows[i][d - 1], pows[i][1], params);
-      max_bits = std::max(max_bits, terms[i].exponent.bit_length());
-    }
-    U256 result = params.one;
-    bool started = false;
-    for (std::size_t w = (max_bits + 3) / 4; w-- > 0;) {
-      if (started) {
-        for (int sq = 0; sq < 4; ++sq) result = mont_mul(result, result, params);
-      }
-      for (std::size_t i = 0; i < terms.size(); ++i) {
-        const std::size_t bit = 4 * w;
-        const unsigned digit =
-            static_cast<unsigned>(terms[i].exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
-        if (digit != 0) {
-          result = mont_mul(result, pows[i][digit], params);
-          started = true;
-        }
-      }
-    }
-    return from_mont(result, params);
-  }
-  // Per-term odd-and-even window table: pows[i][d] = base_i^d for d in 1..15.
+  // An odd modulus runs the whole schedule in the Montgomery domain: every
+  // intermediate is the Montgomery image of the mul_mod intermediate, so the
+  // final from_mont is bit-identical.
+  std::optional<MontgomeryParams> mont;
+  if (modulus.bit(0) && modulus != U256(1)) mont = MontgomeryParams::for_modulus(modulus);
+  const auto mul = [&](const U256& a, const U256& b) {
+    return mont ? mont_mul(a, b, *mont) : mul_mod(a, b, modulus);
+  };
+  // Per-term window table: pows[i][d] = base_i^d for d in 1..15.
   std::vector<std::array<U256, 16>> pows(terms.size());
   std::size_t max_bits = 0;
   for (std::size_t i = 0; i < terms.size(); ++i) {
-    pows[i][1] = mod(terms[i].base, modulus);
-    for (int d = 2; d < 16; ++d) pows[i][d] = mul_mod(pows[i][d - 1], pows[i][1], modulus);
+    // Both conversions reduce bases >= m.
+    pows[i][1] = mont ? to_mont(terms[i].base, *mont) : mod(terms[i].base, modulus);
+    for (int d = 2; d < 16; ++d) pows[i][d] = mul(pows[i][d - 1], pows[i][1]);
     max_bits = std::max(max_bits, terms[i].exponent.bit_length());
   }
-  U256 result(1);
+  U256 result = mont ? mont->one : U256(1);
   bool started = false;
   for (std::size_t w = (max_bits + 3) / 4; w-- > 0;) {
     if (started) {
-      for (int sq = 0; sq < 4; ++sq) result = mul_mod(result, result, modulus);
+      for (int sq = 0; sq < 4; ++sq) result = mul(result, result);
     }
     for (std::size_t i = 0; i < terms.size(); ++i) {
       const std::size_t bit = 4 * w;
       const unsigned digit =
           static_cast<unsigned>(terms[i].exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
       if (digit != 0) {
-        result = mul_mod(result, pows[i][digit], modulus);
+        result = mul(result, pows[i][digit]);
         started = true;
       }
     }
   }
-  return result;
+  return mont ? from_mont(result, *mont) : result;
 }
 
 U256 FixedBaseTable::pow(const U256& exponent) const {
-  if (fast_path_enabled() && mont_) {
-    U256 result = mont_->one;
-    for (std::size_t w = 0; w < mont_windows_.size(); ++w) {
-      const std::size_t bit = 4 * w;
-      const unsigned digit = static_cast<unsigned>(exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
-      if (digit != 0) result = mont_mul(result, mont_windows_[w][digit], *mont_);
-    }
-    return from_mont(result, *mont_);
-  }
-  U256 result(1);
+  U256 result = mont_ ? mont_->one : U256(1);
   for (std::size_t w = 0; w < windows_.size(); ++w) {
     // A 4-bit window never straddles a 64-bit limb.
     const std::size_t bit = 4 * w;
     const unsigned digit = static_cast<unsigned>(exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
-    if (digit != 0) result = mul_mod(result, windows_[w][digit], modulus_);
+    if (digit == 0) continue;
+    result = mont_ ? mont_mul(result, windows_[w][digit], *mont_)
+                   : mul_mod(result, windows_[w][digit], modulus_);
   }
-  return result;
+  return mont_ ? from_mont(result, *mont_) : result;
 }
 
 SchnorrEngine::SchnorrEngine(const SchnorrGroup& group)
@@ -280,14 +214,14 @@ SchnorrEngine::SchnorrEngine(const SchnorrGroup& group)
 }
 
 U256 SchnorrEngine::pow_g(const U256& exponent) const {
-  if (fast_path_enabled() && exponent.bit_length() <= g_table_.exp_bits()) {
+  if (exponent.bit_length() <= g_table_.exp_bits()) {
     return g_table_.pow(exponent);
   }
   return pow_p(group_.g, exponent);
 }
 
 U256 SchnorrEngine::pow_p(const U256& base, const U256& exponent) const {
-  if (fast_path_enabled() && mont_p_) {
+  if (mont_p_) {
     return from_mont(mont_pow(to_mont(base, *mont_p_), exponent, *mont_p_), *mont_p_);
   }
   return pow_mod(base, exponent, group_.p);
@@ -295,12 +229,12 @@ U256 SchnorrEngine::pow_p(const U256& base, const U256& exponent) const {
 
 U256 SchnorrEngine::mul_p(const U256& a, const U256& b) const {
   // mont_mul(a*R, b) = a*b mod p — one conversion, one product, no divide.
-  if (fast_path_enabled() && mont_p_) return mont_mul(to_mont(a, *mont_p_), b, *mont_p_);
+  if (mont_p_) return mont_mul(to_mont(a, *mont_p_), b, *mont_p_);
   return mul_mod(a, b, group_.p);
 }
 
 U256 SchnorrEngine::mul_q(const U256& a, const U256& b) const {
-  if (fast_path_enabled() && mont_q_) return mont_mul(to_mont(a, *mont_q_), b, *mont_q_);
+  if (mont_q_) return mont_mul(to_mont(a, *mont_q_), b, *mont_q_);
   return mul_mod(a, b, group_.q);
 }
 
@@ -309,26 +243,6 @@ SchnorrKeyPair SchnorrEngine::keygen(Rng& rng) const {
   bool borrow = false;
   const U256 x = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
   return SchnorrKeyPair{x, pow_g(x)};
-}
-
-SchnorrSignature SchnorrEngine::sign(const U256& secret, BytesView message, Rng& rng) const {
-  bool borrow = false;
-  const U256 k = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
-  const U256 r = pow_g(k);
-  const U256 e = challenge(group_, r, message);
-  const U256 s = sub_mod(k, mul_q(secret, e), group_.q);
-  return SchnorrSignature{e, s};
-}
-
-bool SchnorrEngine::verify(const U256& public_key, BytesView message,
-                           const SchnorrSignature& sig) const {
-  if (sig.e >= group_.q || sig.s >= group_.q) return false;
-  // g^s from the table (s < q by the check above); y^e stays generic since
-  // the base varies per signer.
-  const U256 gs = pow_g(sig.s);
-  const U256 ye = pow_p(public_key, sig.e);
-  const U256 r = mul_p(gs, ye);
-  return challenge(group_, r, message) == sig.e;
 }
 
 SchnorrSignatureRS SchnorrEngine::sign_rs(const U256& secret, BytesView message, Rng& rng) const {
@@ -344,6 +258,8 @@ bool SchnorrEngine::verify_rs(const U256& public_key, BytesView message,
                               const SchnorrSignatureRS& sig) const {
   if (sig.s >= group_.q || sig.r >= group_.p || sig.r.is_zero()) return false;
   const U256 e = challenge(group_, sig.r, message);
+  // g^s from the table (s < q by the check above); y^e stays generic since
+  // the base varies per signer.
   const U256 gs = pow_g(sig.s);
   const U256 ye = pow_p(public_key, e);
   return mul_p(gs, ye) == sig.r;

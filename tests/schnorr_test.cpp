@@ -6,7 +6,8 @@ namespace g2g::crypto {
 namespace {
 
 // Tests run on the small group (128-bit p) to stay fast; a few also exercise
-// the default 256-bit group.
+// the default 256-bit group. The SchnorrSmall tests without an "Rs" prefix
+// drive SchnorrEngine; the "Rs" ones drive the free schnorr_rs_* functions.
 
 TEST(SchnorrGroup, SmallGroupIsValid) {
   Rng rng(1);
@@ -43,64 +44,71 @@ TEST(SchnorrGroup, RejectsBadSizes) {
 class SchnorrSmall : public ::testing::Test {
  protected:
   const SchnorrGroup& group_ = SchnorrGroup::small_group();
+  SchnorrEngine engine_{group_};
   Rng rng_{42};
 };
 
 TEST_F(SchnorrSmall, SignVerifyRoundTrip) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("proof of relay for H(m)");
-  const SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
-  EXPECT_TRUE(schnorr_verify(group_, kp.public_key, msg, sig));
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
+  EXPECT_TRUE(engine_.verify_rs(kp.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, TamperedMessageRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   Bytes msg = to_bytes("original");
-  const SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
   msg[0] ^= 1;
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, sig));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, WrongKeyRejected) {
-  const SchnorrKeyPair kp1 = schnorr_keygen(group_, rng_);
-  const SchnorrKeyPair kp2 = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp1 = engine_.keygen(rng_);
+  const SchnorrKeyPair kp2 = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  const SchnorrSignature sig = schnorr_sign(group_, kp1.secret, msg, rng_);
-  EXPECT_FALSE(schnorr_verify(group_, kp2.public_key, msg, sig));
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp1.secret, msg, rng_);
+  EXPECT_FALSE(engine_.verify_rs(kp2.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, TamperedSignatureComponentsRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
-  SchnorrSignature bad_e = sig;
-  bad_e.e = add_mod(bad_e.e, U256(1), group_.q);
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, bad_e));
-  SchnorrSignature bad_s = sig;
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
+  SchnorrSignatureRS bad_r = sig;
+  bad_r.r = mul_mod(bad_r.r, group_.g, group_.p);
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, bad_r));
+  SchnorrSignatureRS bad_s = sig;
   bad_s.s = add_mod(bad_s.s, U256(1), group_.q);
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, bad_s));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, bad_s));
 }
 
 TEST_F(SchnorrSmall, OutOfRangeSignatureRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
-  sig.s = group_.q;  // == q is out of range
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, sig));
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
+  SchnorrSignatureRS oor = sig;
+  oor.s = group_.q;  // == q is out of range
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
+  oor = sig;
+  oor.r = group_.p;
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
+  oor = sig;
+  oor.r = U256(0);
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
 }
 
 TEST_F(SchnorrSmall, SignatureEncodingRoundTrip) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
-  const Bytes msg = to_bytes("msg");
-  const SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
-  const SchnorrSignature decoded = SchnorrSignature::decode(sig.encode());
-  EXPECT_EQ(decoded.e, sig.e);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, to_bytes("msg"), rng_);
+  const SchnorrSignatureRS decoded = SchnorrSignatureRS::decode(sig.encode());
+  EXPECT_EQ(decoded.r, sig.r);
   EXPECT_EQ(decoded.s, sig.s);
-  EXPECT_THROW((void)SchnorrSignature::decode(Bytes(63, 0)), DecodeError);
+  EXPECT_THROW((void)SchnorrSignatureRS::decode(Bytes(63, 0)), DecodeError);
 }
 
 TEST_F(SchnorrSmall, KeysLieInTheSubgroup) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   EXPECT_FALSE(kp.secret.is_zero());
   EXPECT_LT(kp.secret, group_.q);
   // Public key has order dividing q: y^q == 1.
@@ -109,11 +117,11 @@ TEST_F(SchnorrSmall, KeysLieInTheSubgroup) {
 
 TEST_F(SchnorrSmall, ManyKeysManyMessages) {
   for (int i = 0; i < 10; ++i) {
-    const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+    const SchnorrKeyPair kp = engine_.keygen(rng_);
     Writer w;
     w.u32(static_cast<std::uint32_t>(i));
-    const SchnorrSignature sig = schnorr_sign(group_, kp.secret, w.bytes(), rng_);
-    EXPECT_TRUE(schnorr_verify(group_, kp.public_key, w.bytes(), sig));
+    const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, w.bytes(), rng_);
+    EXPECT_TRUE(engine_.verify_rs(kp.public_key, w.bytes(), sig));
   }
 }
 
@@ -144,22 +152,6 @@ TEST_F(SchnorrSmall, RsSignVerifyRoundTrip) {
   Bytes tampered = msg;
   tampered[0] ^= 1;
   EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, tampered, sig));
-}
-
-TEST_F(SchnorrSmall, RsAndClassicFormsShareTheTriple) {
-  // Same secret and same nonce draws: the (R,s) signature is the same
-  // (k, e, s) triple as the (e,s) one — R reconstructed from (e,s) must match
-  // the transmitted R, and the hashes of R must match the transmitted e.
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
-  const Bytes msg = to_bytes("one triple, two encodings");
-  Rng nonce_a(77);
-  Rng nonce_b(77);
-  const SchnorrSignature es = schnorr_sign(group_, kp.secret, msg, nonce_a);
-  const SchnorrSignatureRS rs = schnorr_rs_sign(group_, kp.secret, msg, nonce_b);
-  EXPECT_EQ(es.s, rs.s);
-  const U256 r_from_es = mul_mod(pow_mod(group_.g, es.s, group_.p),
-                                 pow_mod(kp.public_key, es.e, group_.p), group_.p);
-  EXPECT_EQ(r_from_es, rs.r);
 }
 
 TEST_F(SchnorrSmall, RsTamperedAndOutOfRangeRejected) {
@@ -338,11 +330,11 @@ TEST(SchnorrDefaultGroup, SignVerifyOnDefaultGroup) {
   Rng rng(11);
   const SchnorrKeyPair kp = schnorr_keygen(g, rng);
   const Bytes msg = to_bytes("full-size group check");
-  const SchnorrSignature sig = schnorr_sign(g, kp.secret, msg, rng);
-  EXPECT_TRUE(schnorr_verify(g, kp.public_key, msg, sig));
+  const SchnorrSignatureRS sig = schnorr_rs_sign(g, kp.secret, msg, rng);
+  EXPECT_TRUE(schnorr_rs_verify(g, kp.public_key, msg, sig));
   Bytes tampered = msg;
   tampered.back() ^= 0x80;
-  EXPECT_FALSE(schnorr_verify(g, kp.public_key, tampered, sig));
+  EXPECT_FALSE(schnorr_rs_verify(g, kp.public_key, tampered, sig));
 }
 
 }  // namespace

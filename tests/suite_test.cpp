@@ -2,15 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sealed_box.hpp"
+#include "reference_suite.hpp"
 
 namespace g2g::crypto {
 namespace {
 
-// Parameterized over both suite implementations: the protocol layer must be
-// able to run on either.
+// Parameterized over both suite implementations — the protocol layer must be
+// able to run on either — plus "schnorr-rs", the free-function (R, s)
+// reference suite that the Schnorr suite is tested against: an oracle must
+// satisfy the same Suite contract.
 class SuiteTest : public ::testing::TestWithParam<const char*> {
  protected:
   SuitePtr make() const {
@@ -18,9 +20,17 @@ class SuiteTest : public ::testing::TestWithParam<const char*> {
       return make_schnorr_suite(SchnorrGroup::small_group());
     }
     if (std::string(GetParam()) == "schnorr-rs") {
-      return make_schnorr_rs_suite(SchnorrGroup::small_group());
+      return make_reference_schnorr_suite(SchnorrGroup::small_group());
     }
     return make_fast_suite(0x5eed);
+  }
+
+  /// The independent implementation each suite is compared against: the
+  /// reference suite for both Schnorr variants, a second instance for the
+  /// emulated suite (same seed, so the same MAC keys).
+  SuitePtr oracle() const {
+    if (std::string(GetParam()) == "fast") return make_fast_suite(0x5eed);
+    return make_reference_schnorr_suite(SchnorrGroup::small_group());
   }
 };
 
@@ -115,23 +125,23 @@ TEST_P(SuiteTest, DistinctKeygens) {
 
 TEST_P(SuiteTest, ArtifactsAndVerdictsIdenticalWithMontgomeryOnAndOff) {
   // Every suite must produce bit-identical keys, signatures, shared secrets,
-  // and accept/reject verdicts whether the Montgomery fast path answers the
-  // arithmetic or the classic schoolbook oracle does.
-  const SuitePtr suite = make();
+  // and accept/reject verdicts to its oracle: the engine's Montgomery tables
+  // and batch check on one side, the free functions and the per-signature
+  // verify loop on the other.
+  const SuitePtr sides[2] = {make(), oracle()};
   KeyPair kp[2];
   KeyPair peer[2];
   Bytes sig[2];
   Bytes secret[2];
   bool verdicts[2][3];
   const Bytes msg = to_bytes("relay proof, epoch 9");
-  for (const bool mont : {true, false}) {
-    const std::size_t side = mont ? 0 : 1;
-    const FastPathScope scope(mont);
+  for (std::size_t side = 0; side < 2; ++side) {
+    const Suite& suite = *sides[side];
     Rng rng(11);  // same draws on both sides
-    kp[side] = suite->keygen(rng);
-    peer[side] = suite->keygen(rng);
-    sig[side] = suite->sign(kp[side].secret_key, msg);
-    secret[side] = suite->shared_secret(kp[side].secret_key, peer[side].public_key);
+    kp[side] = suite.keygen(rng);
+    peer[side] = suite.keygen(rng);
+    sig[side] = suite.sign(kp[side].secret_key, msg);
+    secret[side] = suite.shared_secret(kp[side].secret_key, peer[side].public_key);
     Bytes tampered_sig = sig[side];
     tampered_sig[5] ^= 0x10;
     Bytes tampered_msg = msg;
@@ -141,7 +151,13 @@ TEST_P(SuiteTest, ArtifactsAndVerdictsIdenticalWithMontgomeryOnAndOff) {
         {BytesView(kp[side].public_key), BytesView(tampered_msg), BytesView(sig[side])},
         {BytesView(kp[side].public_key), BytesView(msg), BytesView(tampered_sig)},
     };
-    suite->verify_batch(reqs, verdicts[side]);
+    if (side == 0) {
+      suite.verify_batch(reqs, verdicts[side]);
+    } else {
+      for (std::size_t i = 0; i < 3; ++i) {
+        verdicts[side][i] = suite.verify(reqs[i].public_key, reqs[i].message, reqs[i].signature);
+      }
+    }
   }
   EXPECT_EQ(kp[0].public_key, kp[1].public_key);
   EXPECT_EQ(kp[0].secret_key, kp[1].secret_key);
