@@ -13,6 +13,7 @@
 #include "bench_json.hpp"
 #include "g2g/util/alloc_probe.hpp"
 #include "g2g/util/arena.hpp"
+#include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/metrics/collector.hpp"
 #include "g2g/obs/context.hpp"
@@ -227,13 +228,10 @@ void BM_FrameCodecArenaPath(benchmark::State& state) {
     sink += relay::RelayRqstFrame::decode(rqst).h[0];
     const BytesView ok = arena_encode(arena, relay::RelayOkFrame{h, true});
     sink += relay::RelayOkFrame::decode(ok).accept ? 1u : 0u;
-    const BytesView data = relay::arena_relay_data(arena, h, msg, {});
+    const BytesView data = arena_encode(arena, relay::RelayDataParts{h, msg, {}});
     const relay::RelayDataFrameView view = relay::RelayDataFrameView::decode(data);
     sink += view.msg.hash()[0];
-    const std::span<std::uint8_t> payload = arena.alloc(por.signed_payload_size());
-    SpanWriter pw(payload);
-    por.signed_payload_into(pw);
-    pw.expect_full();
+    sink += arena_signed_payload(arena, por).size();
     const BytesView por_wire = arena_encode(arena, por);
     sink += ProofOfRelayView::decode(por_wire).taker_signature.size();
     const BytesView key = arena_encode(arena, relay::KeyRevealFrame{h, {}});
@@ -308,7 +306,9 @@ void BM_HandshakeRelayPass(benchmark::State& state) {
 BENCHMARK(BM_HandshakeRelayPass);
 
 /// The relay side of one POR_RQST challenge: no PoRs to present, so every
-/// audit recomputes the heavy-HMAC storage proof (paper-grade chain length).
+/// audit answers with a heavy-HMAC storage proof (paper-grade chain length),
+/// queued by AuditEngine::respond and computed by HeavyHmacBatch::run — one
+/// chain in one lane, as a contact with a single storage challenge runs it.
 /// micro_crypto's BM_HeavyHmacReference/1024 times the same chain on the
 /// reference implementation.
 void BM_AuditStorageProof(benchmark::State& state) {
@@ -319,11 +319,16 @@ void BM_AuditStorageProof(benchmark::State& state) {
     Session s(*world.net, src, relay_node);
     src.handshake().giver_pass(s, relay_node);
   }
-  const Bytes seed(32, 0xAB);
+  relay::PorRqstFrame challenge;
+  challenge.h = world.h;
+  challenge.seed.fill(0xAB);
+  crypto::HeavyHmacBatch batch;
   AllocMeter allocs;
   for (auto _ : state) {
     Session s(*world.net, src, relay_node);
-    benchmark::DoNotOptimize(relay_node.respond_test(s, world.h, seed));
+    s.arena().reset();  // one arena generation per challenge, as AuditEngine::run
+    benchmark::DoNotOptimize(relay_node.audit().respond(s, s.send(src, challenge), batch));
+    benchmark::DoNotOptimize(batch.run());
   }
   allocs.report(state);
   state.SetItemsProcessed(state.iterations());

@@ -22,6 +22,7 @@
 
 #include <map>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "g2g/proto/quality.hpp"
@@ -42,11 +43,13 @@ class G2GDelegationNode final : public relay::RelayNode {
 
   [[nodiscard]] const EncounterTable& table() const { return table_; }
 
-  /// Step 9: answer an FQ_RQST about destination `dst` for message `h`;
-  /// nullopt declines (message already handled). Liars declare value 0.
-  [[nodiscard]] std::optional<QualityDeclaration> respond_fq(Session& s,
-                                                             G2GDelegationNode& giver,
-                                                             const MessageHash& h, NodeId dst);
+  /// Step 9: answer the FQ_RQST frame `rqst_frame` with a signed quality
+  /// declaration (FQ_RESP, struct-passed), or — message already handled —
+  /// with a RELAY_OK decline frame for the giver to recv(), a view into the
+  /// session arena valid for the current attempt. Liars declare value 0.
+  [[nodiscard]] std::variant<BytesView, QualityDeclaration> respond_fq(Session& s,
+                                                                       G2GDelegationNode& giver,
+                                                                       BytesView rqst_frame);
 
  protected:
   /// Steps 8–11 of Fig. 6: FQ_RQST/FQ_RESP negotiation with the decoy rule,

@@ -116,9 +116,10 @@ class Env {
 
 class ProtocolNode;
 
-/// Accounting wrapper for one authenticated contact. Construction charges
-/// both endpoints the mutual-authentication cost (certificate exchange,
-/// verification, session-key agreement).
+/// One authenticated contact: the pipe every relay frame crosses, and the
+/// place its cost is accounted. Construction charges both endpoints the
+/// mutual-authentication cost (certificate exchange, verification,
+/// session-key agreement).
 class Session {
  public:
   /// `byte_budget` caps the total bytes the contact can carry (bandwidth x
@@ -133,14 +134,36 @@ class Session {
   /// The Env's wire-path scratch arena (see Env::wire_arena).
   [[nodiscard]] Arena& arena() { return env_.wire_arena(); }
 
-  /// Account an unsigned transfer of `bytes` from `from` to the other side.
+  /// Send one relay frame from `from` to the other side. Arena-encodes `v`,
+  /// counts it in g2g.frame.encoded and charges wire.<Frame::kWireKind> its
+  /// encoded size; a Frame::kControlSigned frame also pays the suite's
+  /// signature size, one signature by `from` and one verification by the
+  /// receiver. The returned view lives in the session arena until its next
+  /// reset(), which the engines issue at the start of every handshake attempt
+  /// and audit challenge: the receiver must recv() it within the same step.
+  template <typename Frame>
+  [[nodiscard]] BytesView send(ProtocolNode& from, const Frame& v) {
+    const BytesView bytes = arena_encode(arena(), v);
+    sent(from, bytes.size(), Frame::kWireKind, Frame::kControlSigned);
+    return bytes;
+  }
+
+  /// Receive a frame at `to`: strict decode (DecodeError on malformed bytes),
+  /// counted in g2g.frame.decoded. View types (RelayDataFrameView,
+  /// ProofOfRelayView) borrow from `bytes`.
+  template <typename Frame>
+  [[nodiscard]] Frame recv(const ProtocolNode& to, BytesView bytes) {
+    Frame f = Frame::decode(bytes);
+    received(to);
+    return f;
+  }
+
+  /// Account an unsigned transfer of `bytes` from `from` to the other side
+  /// for what does not cross as a frame: struct-passed artefacts (PoR lists,
+  /// quality declarations, PoM gossip) and the vanilla protocols' traffic.
   /// `kind` feeds the per-wire-message-kind byte counters.
   void transfer(ProtocolNode& from, std::size_t bytes,
                 obs::WireKind kind = obs::WireKind::Other);
-  /// Account a signed control message: bytes + one signature by `from`,
-  /// one verification by the receiver.
-  void signed_control(ProtocolNode& from, std::size_t bytes,
-                      obs::WireKind kind = obs::WireKind::Other);
 
   /// True once the contact's byte budget is spent; protocol loops stop
   /// starting new exchanges.
@@ -150,6 +173,11 @@ class Session {
   [[nodiscard]] ProtocolNode& peer_of(const ProtocolNode& n);
 
  private:
+  /// send()'s accounting: the frame count and the byte/signature charge.
+  void sent(ProtocolNode& from, std::size_t size, obs::WireKind kind, bool control_signed);
+  /// recv()'s accounting: the decode count.
+  void received(const ProtocolNode& to);
+
   Env& env_;
   ProtocolNode& a_;
   ProtocolNode& b_;

@@ -2,12 +2,15 @@
 //
 // One engine per node owns the pending-test registry and runs both sides of
 // the audit: the source's challenge loop (POR_RQST frames, PoR batch
-// verification through Suite::verify_batch, storage-proof recomputation with
-// HeavyHmacBatch deferral) and the relay's response (present PoRs and/or a
-// heavy-HMAC storage proof). The two former copies of this loop in the
-// epidemic and delegation nodes differed only in how PoRs are presented
-// (PresentMode) and in two delegation-only screens (the host's begin_test /
-// screen_pors hooks: destination lookup and the chain check).
+// verification through Suite::verify_batch, storage-proof recomputation) and
+// the relay's response (present PoRs and/or a heavy-HMAC storage proof).
+// Both frames cross the session seam (Session::send/recv); every storage
+// proof of a contact, the relay's chain and the source's recompute, is queued
+// into one HeavyHmacBatch that runs after the challenge loop. The two former
+// copies of this loop in the epidemic and delegation nodes differed only in
+// how PoRs are presented (PresentMode) and in two delegation-only screens
+// (the host's begin_test / screen_pors hooks: destination lookup and the
+// chain check).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,7 @@ class Session;
 namespace g2g::proto::relay {
 
 class RelayNode;
+struct PorRqstFrame;
 
 class AuditEngine {
  public:
@@ -44,23 +48,21 @@ class AuditEngine {
   /// Source side: challenge `peer` for every due pending test.
   void run(Session& s, RelayNode& peer);
 
-  /// Relay side: answer a POR_RQST for `h` with fresh `seed`. With `defer`
-  /// set, a storage proof is queued into the batch (stored_job) rather than
-  /// computed inline, so the audit loop can run every chain of a contact in
-  /// parallel SHA-256 lanes; all byte accounting, counters, and trace events
-  /// stay at challenge time either way.
-  [[nodiscard]] TestResponse respond(Session& s, const MessageHash& h, BytesView seed,
-                                     crypto::HeavyHmacBatch* defer);
+  /// Relay side: answer the POR_RQST frame `rqst`. A storage proof is queued
+  /// into `batch` (TestResponse::stored_job) and announced by a STORED_RESP
+  /// frame whose digest the batch supplies; all byte accounting, counters,
+  /// and trace events happen at challenge time.
+  [[nodiscard]] TestResponse respond(Session& s, BytesView rqst, crypto::HeavyHmacBatch& batch);
 
   [[nodiscard]] std::vector<PendingTest>& tests() { return tests_; }
   [[nodiscard]] const std::vector<PendingTest>& tests() const { return tests_; }
   [[nodiscard]] std::size_t pending_count() const;
 
  private:
-  /// The storage-proof leg of respond(): heavy HMAC (eager or deferred into
-  /// `defer`), STORED_RESP frame accounting.
-  void storage_proof(Session& s, const Hold& hold, const MessageHash& h, BytesView seed,
-                     TestResponse& resp, crypto::HeavyHmacBatch* defer);
+  /// The storage-proof leg of respond(): queue the heavy HMAC into `batch`,
+  /// send STORED_RESP.
+  void storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq, TestResponse& resp,
+                     crypto::HeavyHmacBatch& batch);
 
   RelayNode& host_;
   PresentMode mode_;

@@ -1,14 +1,13 @@
 // Wire frames for the transient G2G handshake and audit steps.
 //
-// The relay core drives every handshake step through an explicit encoded
-// frame: the sender encodes, the receiver decodes, and the canonical bytes
-// are what the session accounts (frame size + the control signature). The
+// Every handshake and audit step crosses the contact as one of these frames
+// through the session seam (Session::send/recv in node.hpp): the sender
+// arena-encodes it and is charged its encoded size plus the control
+// signature, the receiver strictly decodes it. Each frame names its own
+// accounting as type properties — kWireKind (the wire.<kind> counter it
+// feeds) and kControlSigned — so no call site passes a size or a kind. The
 // persistent artefacts (ProofOfRelay, QualityDeclaration, ProofOfMisbehavior)
-// keep their canonical encodings in wire.hpp; these frames cover the steps
-// that were previously only *sized* by the wire:: helpers. Each frame's
-// encoded size matches its wire:: size helper minus the trailing signature,
-// so switching the protocol loops from size arithmetic to real frames is
-// byte-identical in the cost model.
+// keep their canonical encodings in wire.hpp.
 //
 // Framing rules (shared with the artefacts): canonical little-endian, a
 // leading one-byte tag, fixed-size fields, and strict decoding — unknown
@@ -23,9 +22,9 @@
 #include <span>
 #include <vector>
 
+#include "g2g/obs/context.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/wire.hpp"
-#include "g2g/util/arena.hpp"
 
 namespace g2g::proto::relay {
 
@@ -45,6 +44,9 @@ enum class FrameTag : std::uint8_t {
 
 /// Step 1: the giver offers H(m).
 struct RelayRqstFrame {
+  static constexpr obs::WireKind kWireKind = obs::WireKind::RelayRqst;
+  static constexpr bool kControlSigned = true;
+
   MessageHash h{};
 
   [[nodiscard]] Bytes encode() const;
@@ -55,6 +57,9 @@ struct RelayRqstFrame {
 
 /// Step 2: accept (tag RelayOk) or decline (tag RelayDecline).
 struct RelayOkFrame {
+  static constexpr obs::WireKind kWireKind = obs::WireKind::RelayOk;
+  static constexpr bool kControlSigned = true;
+
   MessageHash h{};
   bool accept = true;
 
@@ -98,6 +103,9 @@ struct RelayDataFrameView {
 /// seal already protects the content), so the key bytes are a placeholder of
 /// the real 32-byte key the frame would carry.
 struct KeyRevealFrame {
+  static constexpr obs::WireKind kWireKind = obs::WireKind::KeyReveal;
+  static constexpr bool kControlSigned = true;
+
   MessageHash h{};
   std::array<std::uint8_t, 32> key{};
 
@@ -110,6 +118,9 @@ struct KeyRevealFrame {
 /// Audit challenge: prove you relayed H(m) (PoRs) or still store it (heavy
 /// HMAC over the fresh seed).
 struct PorRqstFrame {
+  static constexpr obs::WireKind kWireKind = obs::WireKind::PorRqst;
+  static constexpr bool kControlSigned = true;
+
   MessageHash h{};
   std::array<std::uint8_t, 32> seed{};
 
@@ -119,11 +130,13 @@ struct PorRqstFrame {
   [[nodiscard]] std::size_t wire_size() const;
 };
 
-/// Audit storage proof: the heavy HMAC digest over (m, seed).
+/// Audit storage proof: the heavy HMAC digest over (m, seed). The relay sends
+/// it at challenge time with the digest left zero — a placeholder, like
+/// KeyRevealFrame's key bytes: the real digest comes out of the contact's
+/// HeavyHmacBatch lane, which the challenger resolves after the batch runs.
 struct StoredRespFrame {
-  /// Encoded size: tag + hash + seed + digest (matches wire::stored_resp
-  /// minus the control signature).
-  static constexpr std::size_t kWireBytes = 1 + 32 + 32 + 32;
+  static constexpr obs::WireKind kWireKind = obs::WireKind::StoredResp;
+  static constexpr bool kControlSigned = true;
 
   MessageHash h{};
   std::array<std::uint8_t, 32> seed{};
@@ -135,21 +148,27 @@ struct StoredRespFrame {
   [[nodiscard]] std::size_t wire_size() const;
 };
 
-/// Borrowed-parts encoding of a RelayData frame: identical bytes to
-/// RelayDataFrame::encode() for the same (h, msg, attachments), but straight
-/// from the hold's message and declaration spans — no frame struct, no
-/// message copy. This is what the handshake hot path uses.
-[[nodiscard]] std::size_t relay_data_wire_size(const SealedMessage& msg,
-                                               std::span<const QualityDeclaration> attachments);
-void relay_data_encode_into(SpanWriter& w, const MessageHash& h, const SealedMessage& msg,
-                            std::span<const QualityDeclaration> attachments);
-/// relay_data_encode_into through an exactly-reserved arena span.
-[[nodiscard]] BytesView arena_relay_data(Arena& arena, const MessageHash& h,
-                                         const SealedMessage& msg,
-                                         std::span<const QualityDeclaration> attachments);
+/// Borrowed-parts RelayData frame: identical bytes to RelayDataFrame::encode()
+/// for the same (h, msg, attachments), but encoded straight from the hold's
+/// message and declaration spans — no frame struct, no message copy. This is
+/// what the handshake sends; the receiver decodes a RelayDataFrameView.
+struct RelayDataParts {
+  static constexpr obs::WireKind kWireKind = obs::WireKind::RelayData;
+  static constexpr bool kControlSigned = true;
+
+  const MessageHash& h;
+  const SealedMessage& msg;
+  std::span<const QualityDeclaration> attachments;
+
+  void encode_into(SpanWriter& w) const;
+  [[nodiscard]] std::size_t wire_size() const;
+};
 
 /// Delegation step 8: request a signed quality declaration toward D'.
 struct FqRqstFrame {
+  static constexpr obs::WireKind kWireKind = obs::WireKind::FqRqst;
+  static constexpr bool kControlSigned = true;
+
   MessageHash h{};
   NodeId dst;
 

@@ -2,17 +2,16 @@
 //
 // One engine per node owns the hold table and the handled set, and runs both
 // sides of the handshake against the peer node's engine. Every step crosses
-// the session as an explicitly encoded frame (relay/frames.hpp) that the
-// receiving side decodes — the struct-by-reference shortcut of the former
-// monolithic nodes is gone, so a real transport backend only has to carry
-// the frame bytes. The policy-specific middle of the handshake (epidemic
-// accept vs. delegation quality negotiation) is delegated to the host's
-// relay_attempt() hook; the shared tail (PoR bookkeeping, key reveal,
-// completion, test arming, forwarding-duty payload drop) lives here.
+// the contact as an encoded frame (relay/frames.hpp) through the session seam
+// — Session::send charges it, Session::recv decodes it on the receiving side
+// — so a real transport backend only has to carry the frame bytes. The
+// policy-specific middle of the handshake (epidemic accept vs. delegation
+// quality negotiation) is delegated to the host's relay_attempt() hook; the
+// shared tail (PoR bookkeeping, key reveal, completion, test arming,
+// forwarding-duty payload drop) lives here.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <set>
 
 #include "g2g/proto/relay/state.hpp"
@@ -39,18 +38,16 @@ class HandshakeEngine {
   /// Giver side: offer every eligible hold to `taker`, one handshake each.
   void giver_pass(Session& s, RelayNode& taker);
 
-  /// Taker side of steps 2/4 for the epidemic handshake: decode the RELAY_RQST
-  /// frame, answer with RELAY_OK or a decline, and countersign a PoR. Returns
-  /// the encoded PoR — a view into the session arena, valid for the current
-  /// handshake attempt — or nullopt on decline (message already handled).
-  [[nodiscard]] std::optional<BytesView> answer_relay_rqst(Session& s, RelayNode& giver,
-                                                           BytesView rqst_frame);
+  /// Taker side of step 2 for the epidemic handshake: decode the RELAY_RQST
+  /// frame and answer with RELAY_OK, or with a decline when the message was
+  /// already handled. Returns the answer frame for the giver to recv() — a
+  /// view into the session arena, valid for the current handshake attempt.
+  [[nodiscard]] BytesView answer_relay_rqst(Session& s, RelayNode& giver, BytesView rqst_frame);
 
-  /// Taker side of step 4 alone: sign `por`, account its transfer, and return
-  /// its canonical encoding (the giver decodes and verifies; the bytes live in
-  /// the session arena for the current attempt). The delegation handshake
-  /// builds the PoR giver-side (it knows D', f_m, f_BD') and only needs the
-  /// countersignature.
+  /// Taker side of step 4: sign the PoR the giver built (h, giver, taker,
+  /// time; plus D', f_m and f_BD' for Delegation) and send it back. The giver
+  /// recv()s and verifies it; the bytes live in the session arena for the
+  /// current attempt.
   [[nodiscard]] BytesView countersign(Session& s, RelayNode& giver, ProofOfRelay por);
 
   /// Taker side after the key reveal (step 5): decode the data and key

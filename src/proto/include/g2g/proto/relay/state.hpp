@@ -8,10 +8,8 @@
 #pragma once
 
 #include <deque>
-#include <optional>
 #include <vector>
 
-#include "g2g/crypto/hmac.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/wire.hpp"
 
@@ -47,10 +45,14 @@ struct PendingTest {
 /// Response to a POR_RQST challenge.
 struct TestResponse {
   std::vector<ProofOfRelay> pors;
-  std::optional<crypto::Digest> stored_hmac;  ///< heavy HMAC over (m, seed)
-  /// Deferred storage proof: index of the chain queued into the caller's
-  /// HeavyHmacBatch instead of an eager stored_hmac digest.
-  std::optional<std::size_t> stored_job;
+  /// The encoded STORED_RESP frame, empty when the relay offers no storage
+  /// proof. A view into the session arena: valid for the current challenge
+  /// only (the audit loop resets the arena before the next one).
+  // g2g-lint: allow(view-escape) -- documented engine seam: decoded within the same challenge, before the reset
+  BytesView stored_resp;
+  /// With stored_resp: the relay's heavy-HMAC chain in the caller's
+  /// HeavyHmacBatch, which carries the digest STORED_RESP leaves zero.
+  std::size_t stored_job = 0;
 };
 
 /// What a policy-specific relay attempt hands back to the shared handshake

@@ -1,4 +1,4 @@
-// Signed protocol artefacts and control-message sizing.
+// Signed protocol artefacts and the certificate size.
 //
 // Three artefacts outlive the session that produced them and therefore need
 // real signatures and canonical encodings:
@@ -12,15 +12,17 @@
 //   * ProofOfMisbehavior — PoM, gossiped network-wide; whoever verifies it
 //     blacklists the culprit.
 //
-// Transient handshake steps (RELAY_RQST, RELAY_OK, KEY, ...) are not
-// materialized as structs; their wire cost is accounted via the size helpers
-// at the bottom.
+// The transient handshake and audit steps (RELAY_RQST, RELAY_OK, KEY, ...)
+// are the frames of relay/frames.hpp. Frames and the PoR cross a contact
+// through Session::send/recv (node.hpp), which charges each at its encoded
+// size; only the session-start certificate is sized here.
 #pragma once
 
 #include <deque>
 #include <optional>
 #include <vector>
 
+#include "g2g/obs/context.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/util/time.hpp"
 
@@ -66,6 +68,11 @@ struct QualityDeclaration {
 
 /// Proof of relay, signed by the taker.
 struct ProofOfRelay {
+  /// Session::send charges the encoded size alone: the encoding already
+  /// carries the taker's signature, so no control signature is added.
+  static constexpr obs::WireKind kWireKind = obs::WireKind::Por;
+  static constexpr bool kControlSigned = false;
+
   MessageHash h{};
   NodeId giver;
   NodeId taker;
@@ -167,20 +174,9 @@ struct ProofOfMisbehavior {
                                             std::deque<Bytes>& payloads,
                                             std::vector<crypto::VerifyRequest>& requests);
 
-/// Approximate wire sizes of transient handshake steps, for cost accounting.
-/// `sig` is the suite's signature size.
 namespace wire {
-[[nodiscard]] constexpr std::size_t relay_rqst(std::size_t sig) { return 1 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t relay_ok(std::size_t sig) { return 1 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t relay_data(std::size_t sig, std::size_t msg_bytes) {
-  return 1 + 32 + 8 + msg_bytes + sig;
-}
-[[nodiscard]] constexpr std::size_t key_reveal(std::size_t sig) { return 1 + 32 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t por_rqst(std::size_t sig) { return 1 + 32 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t stored_resp(std::size_t sig) {
-  return 1 + 32 + 32 + 32 + sig;
-}
-[[nodiscard]] constexpr std::size_t fq_rqst(std::size_t sig) { return 1 + 32 + 4 + sig; }
+/// Session-start certificate: node id, public key, the authority's signature
+/// (`sig` is the suite's signature size).
 [[nodiscard]] constexpr std::size_t certificate(std::size_t sig) { return 4 + 32 + sig; }
 }  // namespace wire
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "g2g/proto/relay/frames.hpp"
@@ -68,7 +69,6 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
     Session& s, relay::RelayNode& taker, const MessageHash& h, relay::Hold& hold) {
   auto& taker_del = static_cast<G2GDelegationNode&>(taker);
   const TimePoint now = s.now();
-  const std::size_t sig = identity().suite().signature_size();
 
   const NodeId real_dst = hold.msg.dst;
   const bool to_dst = taker.id() == real_dst;
@@ -80,30 +80,24 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   // Step 8: FQ_RQST.
   counters().handshakes_started->add();
   trace_event(obs::EventKind::FqRqst, taker.id(), ref);
-  const BytesView rq_bytes = arena_encode(s.arena(), relay::FqRqstFrame{h, dprime});
-  counters().frames_encoded->add();
-  s.signed_control(*this, rq_bytes.size() + sig, obs::WireKind::FqRqst);
-  // Step 9: the taker answers from the decoded frame.
-  const relay::FqRqstFrame rq = relay::FqRqstFrame::decode(rq_bytes);
-  taker_del.counters().frames_decoded->add();
-  const auto decl = taker_del.respond_fq(s, *this, rq.h, rq.dst);
-  if (!decl.has_value()) {
+  // Step 9: the taker answers from the decoded frame — a signed declaration,
+  // or a RELAY_OK decline when it already handled the message.
+  const auto answer =
+      taker_del.respond_fq(s, *this, s.send(*this, relay::FqRqstFrame{h, dprime}));
+  if (const BytesView* decline = std::get_if<BytesView>(&answer)) {
+    (void)s.recv<relay::RelayOkFrame>(*this, *decline);
     counters().handshakes_declined->add();
-    return std::nullopt;  // taker already handled the message
+    return std::nullopt;
   }
+  const QualityDeclaration& decl = std::get<QualityDeclaration>(answer);
 
   // Verify the declaration signature (it may be stored as evidence).
   count_verification();
   const auto* taker_cert = env_.roster().find(taker.id());
-  bool decl_ok = taker_cert != nullptr && decl->declarer == taker.id() && decl->dst == dprime;
+  bool decl_ok = taker_cert != nullptr && decl.declarer == taker.id() && decl.dst == dprime;
   if (decl_ok) {
-    const std::span<std::uint8_t> decl_payload = s.arena().alloc(decl->signed_payload_size());
-    SpanWriter dw(decl_payload);
-    decl->signed_payload_into(dw);
-    dw.expect_full();
     decl_ok = identity().suite().verify(taker_cert->public_key,
-                                        BytesView(decl_payload.data(), decl_payload.size()),
-                                        decl->signature);
+                                        arena_signed_payload(s.arena(), decl), decl.signature);
   }
   if (!decl_ok) {
     counters().handshakes_aborted->add();
@@ -115,12 +109,12 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   const bool cheating = behavior().kind == Behavior::Cheater && deviates_with(taker.id());
   const double effective_fm = cheating ? min_quality(config().quality_kind) : hold.fm;
 
-  if (!to_dst && decl->value <= effective_fm + kQualityEps) {
+  if (!to_dst && decl.value <= effective_fm + kQualityEps) {
     // Failed candidate. The source archives the last two declarations for
     // the test by the destination.
     counters().handshakes_declined->add();
     if (hold.is_source) {
-      hold.failed_candidates.push_back(*decl);
+      hold.failed_candidates.push_back(decl);
       while (hold.failed_candidates.size() > 2) hold.failed_candidates.pop_front();
     }
     return std::nullopt;
@@ -138,11 +132,9 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
                      : std::span<const QualityDeclaration>(hold.attachments);
   std::size_t attach_bytes = 0;
   for (const auto& a : attachments) attach_bytes += a.wire_size();
-  const BytesView data = relay::arena_relay_data(s.arena(), h, hold.msg, attachments);
-  counters().frames_encoded->add();
+  const BytesView data = s.send(*this, relay::RelayDataParts{h, hold.msg, attachments});
   trace_event(obs::EventKind::HsRelayData, taker.id(), ref,
               static_cast<std::int64_t>(hold.msg_bytes + attach_bytes));
-  s.signed_control(*this, data.size() + sig, obs::WireKind::RelayData);
   const double sent_fm = cheating ? min_quality(config().quality_kind) : hold.fm;
 
   // Step 11: the giver builds the delegation PoR (it knows D', f_m, f_BD');
@@ -155,20 +147,14 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   proto_por.delegation = true;
   proto_por.declared_dst = dprime;
   proto_por.msg_quality = sent_fm;
-  proto_por.taker_quality = decl->value;
-  proto_por.quality_frame = decl->frame;
-  const ProofOfRelayView por =
-      ProofOfRelayView::decode(taker.handshake().countersign(s, *this, std::move(proto_por)));
-  counters().frames_decoded->add();
+  proto_por.taker_quality = decl.value;
+  proto_por.quality_frame = decl.frame;
+  const ProofOfRelayView por = s.recv<ProofOfRelayView>(
+      *this, taker.handshake().countersign(s, *this, std::move(proto_por)));
 
   count_verification();
-  const std::span<std::uint8_t> payload = s.arena().alloc(por.signed_payload_size());
-  SpanWriter pw(payload);
-  por.signed_payload_into(pw);
-  pw.expect_full();
-  const bool por_ok = identity().suite().verify(taker_cert->public_key,
-                                                BytesView(payload.data(), payload.size()),
-                                                por.taker_signature);
+  const bool por_ok = identity().suite().verify(
+      taker_cert->public_key, arena_signed_payload(s.arena(), por), por.taker_signature);
   trace_event(obs::EventKind::PorVerified, taker.id(), ref, por_ok ? 1 : 0);
   if (!por_ok) {
     counters().handshakes_aborted->add();
@@ -177,26 +163,21 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   counters().pors_verified->add();
   // "Label both messages with the forwarding quality of node B" — only on a
   // true delegation step; a delivery to the destination leaves f_m as-is.
-  return relay::HandshakeOutcome{por.to_owned(), data, !to_dst, decl->value};
+  return relay::HandshakeOutcome{por.to_owned(), data, !to_dst, decl.value};
 }
 
-std::optional<QualityDeclaration> G2GDelegationNode::respond_fq(Session& s,
-                                                                G2GDelegationNode& giver,
-                                                                const MessageHash& h,
-                                                                NodeId dst) {
-  if (handshake().has_handled(h)) {
-    const std::size_t sig = identity().suite().signature_size();
-    trace_event(obs::EventKind::HsRelayOk, giver.id(), env_.msg_ref(h), 0);
-    const BytesView decline = arena_encode(s.arena(), relay::RelayOkFrame{h, false});
-    counters().frames_encoded->add();
-    s.signed_control(*this, decline.size() + sig, obs::WireKind::RelayOk);
-    return std::nullopt;
+std::variant<BytesView, QualityDeclaration> G2GDelegationNode::respond_fq(
+    Session& s, G2GDelegationNode& giver, BytesView rqst_frame) {
+  const relay::FqRqstFrame rq = s.recv<relay::FqRqstFrame>(*this, rqst_frame);
+  if (handshake().has_handled(rq.h)) {
+    trace_event(obs::EventKind::HsRelayOk, giver.id(), env_.msg_ref(rq.h), 0);
+    return s.send(*this, relay::RelayOkFrame{rq.h, false});
   }
   QualityDeclaration decl;
   decl.declarer = id();
-  decl.dst = dst;
+  decl.dst = rq.dst;
   decl.at = s.now();
-  const auto declared = table_.declared(config().quality_kind, dst, s.now());
+  const auto declared = table_.declared(config().quality_kind, rq.dst, s.now());
   decl.frame = declared.frame;
   decl.value = declared.value;
   if (behavior().kind == Behavior::Liar && deviates_with(giver.id())) {
@@ -205,14 +186,8 @@ std::optional<QualityDeclaration> G2GDelegationNode::respond_fq(Session& s,
     decl.value = min_quality(config().quality_kind);
   }
   count_signature();
-  {
-    const std::span<std::uint8_t> payload = s.arena().alloc(decl.signed_payload_size());
-    SpanWriter pw(payload);
-    decl.signed_payload_into(pw);
-    pw.expect_full();
-    decl.signature = identity().sign(BytesView(payload.data(), payload.size()));
-  }
-  trace_event(obs::EventKind::FqResp, giver.id(), env_.msg_ref(h),
+  decl.signature = identity().sign(arena_signed_payload(s.arena(), decl));
+  trace_event(obs::EventKind::FqResp, giver.id(), env_.msg_ref(rq.h),
               static_cast<std::int64_t>(decl.value * 1e6));
   s.transfer(*this, decl.wire_size(), obs::WireKind::QualityDecl);
   return decl;
@@ -229,13 +204,8 @@ void G2GDelegationNode::check_attachments(Session& s,
     if (sig_ok) {
       // Signed payload built in the session arena (still the current
       // handshake attempt's generation — this runs from complete_relay).
-      const std::span<std::uint8_t> payload = s.arena().alloc(decl.signed_payload_size());
-      SpanWriter pw(payload);
-      decl.signed_payload_into(pw);
-      pw.expect_full();
       sig_ok = identity().suite().verify(cert->public_key,
-                                         BytesView(payload.data(), payload.size()),
-                                         decl.signature);
+                                         arena_signed_payload(s.arena(), decl), decl.signature);
     }
     if (!sig_ok) {
       trace_event(obs::EventKind::TestByDestination, decl.declarer, 0, 2);

@@ -1,6 +1,5 @@
 #include "g2g/proto/g2g_epidemic.hpp"
 
-#include <span>
 #include <utility>
 
 #include "g2g/proto/relay/frames.hpp"
@@ -9,30 +8,31 @@ namespace g2g::proto {
 
 std::optional<relay::HandshakeOutcome> G2GEpidemicNode::relay_attempt(
     Session& s, relay::RelayNode& taker, const MessageHash& h, relay::Hold& hold) {
-  const std::size_t sig = identity().suite().signature_size();
   const std::uint64_t ref = env_.msg_ref(h);
 
-  // Step 1: RELAY_RQST.
+  // Step 1: RELAY_RQST; step 2: the taker answers RELAY_OK or declines.
   counters().handshakes_started->add();
   trace_event(obs::EventKind::HsRelayRqst, taker.id(), ref);
-  const BytesView rqst = arena_encode(s.arena(), relay::RelayRqstFrame{h});
-  counters().frames_encoded->add();
-  s.signed_control(*this, rqst.size() + sig, obs::WireKind::RelayRqst);
-  // Steps 2/3/4: the taker answers, the message travels, the PoR returns.
-  const auto por_wire = taker.handshake().answer_relay_rqst(s, *this, rqst);
-  if (!por_wire.has_value()) {
+  const BytesView ok =
+      taker.handshake().answer_relay_rqst(s, *this, s.send(*this, relay::RelayRqstFrame{h}));
+  if (!s.recv<relay::RelayOkFrame>(*this, ok).accept) {
     counters().handshakes_declined->add();
     return std::nullopt;  // taker declined (already handled)
   }
-  const ProofOfRelayView por = ProofOfRelayView::decode(*por_wire);
-  counters().frames_decoded->add();
+  // Step 4: the taker countersigns the PoR. (The encrypted message of step 3
+  // is on its way; its bytes are charged below.)
+  ProofOfRelay proto_por;
+  proto_por.h = h;
+  proto_por.giver = id();
+  proto_por.taker = taker.id();
+  proto_por.at = s.now();
+  const ProofOfRelayView por = s.recv<ProofOfRelayView>(
+      *this, taker.handshake().countersign(s, *this, std::move(proto_por)));
 
   // Step 3 accounting: E_k(m). Encoded straight from the hold into the arena.
-  const BytesView data = relay::arena_relay_data(s.arena(), h, hold.msg, {});
-  counters().frames_encoded->add();
+  const BytesView data = s.send(*this, relay::RelayDataParts{h, hold.msg, {}});
   trace_event(obs::EventKind::HsRelayData, taker.id(), ref,
               static_cast<std::int64_t>(hold.msg_bytes));
-  s.signed_control(*this, data.size() + sig, obs::WireKind::RelayData);
 
   // Verify the PoR before revealing the key (signed payload built in the
   // arena; the signature is checked against the view in place).
@@ -41,12 +41,8 @@ std::optional<relay::HandshakeOutcome> G2GEpidemicNode::relay_attempt(
   bool por_ok =
       taker_cert != nullptr && por.h == h && por.giver == id() && por.taker == taker.id();
   if (por_ok) {
-    const std::span<std::uint8_t> payload = s.arena().alloc(por.signed_payload_size());
-    SpanWriter pw(payload);
-    por.signed_payload_into(pw);
-    pw.expect_full();
     por_ok = identity().suite().verify(taker_cert->public_key,
-                                       BytesView(payload.data(), payload.size()),
+                                       arena_signed_payload(s.arena(), por),
                                        por.taker_signature);
   }
   trace_event(obs::EventKind::PorVerified, taker.id(), ref, por_ok ? 1 : 0);

@@ -1,5 +1,7 @@
 #include "g2g/proto/node.hpp"
 
+#include <stdexcept>
+
 namespace g2g::proto {
 
 const char* to_string(Behavior b) {
@@ -61,11 +63,20 @@ void Session::transfer(ProtocolNode& from, std::size_t bytes, obs::WireKind kind
   env_.obs().counters.count_wire(kind, bytes);
 }
 
-void Session::signed_control(ProtocolNode& from, std::size_t bytes, obs::WireKind kind) {
-  ProtocolNode& to = peer_of(from);
-  from.count_signature();
-  to.count_verification();
-  transfer(from, bytes, kind);
+void Session::sent(ProtocolNode& from, std::size_t size, obs::WireKind kind,
+                   bool control_signed) {
+  env_.obs().counters.frames_encoded->add();
+  if (control_signed) {
+    size += from.identity().suite().signature_size();
+    from.count_signature();
+    peer_of(from).count_verification();
+  }
+  transfer(from, size, kind);
+}
+
+void Session::received(const ProtocolNode& to) {
+  if (&to != &a_ && &to != &b_) throw std::logic_error("frame received outside its session");
+  env_.obs().counters.frames_decoded->add();
 }
 
 ProtocolNode& Session::peer_of(const ProtocolNode& n) { return &n == &a_ ? b_ : a_; }

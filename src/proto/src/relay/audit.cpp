@@ -11,15 +11,14 @@ namespace g2g::proto::relay {
 
 void AuditEngine::run(Session& s, RelayNode& peer) {
   const TimePoint now = s.now();
-  const std::size_t sig = host_.identity().suite().signature_size();
 
   // Two phases: the challenge loop queues every storage-proof chain of this
   // contact — the relay's proof and the source's recompute — into one
   // HeavyHmacBatch, then the batch runs all chains in parallel SHA-256 lanes
   // and the outcomes (pass / PoM) resolve afterwards. Deferring is invisible
   // to the protocol: nothing between the challenge and its resolution reads
-  // the blacklist or the PoM log, session byte accounting stays in challenge
-  // order, and the digests are bit-identical to the eager path.
+  // the blacklist or the PoM log, and session byte accounting stays in
+  // challenge order.
   crypto::HeavyHmacBatch batch;
   struct PendingStorageCheck {
     std::size_t peer_job;    // the relay's deferred proof
@@ -65,13 +64,11 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
         challenge.seed[i * 8 + j] = static_cast<std::uint8_t>(word >> (8 * j));
       }
     }
-    const BytesView challenge_bytes = arena_encode(s.arena(), challenge);
-    host_.counters().frames_encoded->add();
-    s.signed_control(host_, challenge_bytes.size() + sig, obs::WireKind::PorRqst);
-    const PorRqstFrame rq = PorRqstFrame::decode(challenge_bytes);
-    peer.counters().frames_decoded->add();
-    const BytesView seed(rq.seed.data(), rq.seed.size());
-    const TestResponse resp = peer.audit().respond(s, rq.h, seed, &batch);
+    const TestResponse resp = peer.audit().respond(s, s.send(host_, challenge), batch);
+    const bool stored = !resp.stored_resp.empty();
+    // STORED_RESP arrives with the response; its digest field is the
+    // placeholder the batch lane fills (see StoredRespFrame).
+    if (stored) (void)s.recv<StoredRespFrame>(host_, resp.stored_resp);
 
     if (!host_.screen_pors(t, resp.pors, real_dst, now)) {
       // The policy screen failed the test outright (Delegation: the chain
@@ -100,12 +97,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
         const auto* cert = host_.env_.roster().find(por.taker);
         if (por.h == t.h && por.giver == peer.id() && cert != nullptr) {
           request_of[i] = requests.size();
-          const std::span<std::uint8_t> payload = s.arena().alloc(por.signed_payload_size());
-          SpanWriter pw(payload);
-          por.signed_payload_into(pw);
-          pw.expect_full();
-          requests.push_back({BytesView(cert->public_key),
-                              BytesView(payload.data(), payload.size()),
+          requests.push_back({BytesView(cert->public_key), arena_signed_payload(s.arena(), por),
                               BytesView(por.taker_signature)});
         }
       }
@@ -130,34 +122,24 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     }
 
     // ...or a storage proof the source can recompute (it still has m).
-    if (resp.stored_hmac.has_value() || resp.stored_job.has_value()) {
+    if (stored) {
       auto& holds = host_.handshake().holds();
       const auto it = holds.find(t.h);
-      if (it != holds.end() && it->second.has_msg) {
-        host_.count_heavy_hmac();
-        if (resp.stored_job.has_value()) {
-          // The batch copies both inputs into its own arena, so the encode can
-          // live in the session arena's current generation.
-          const std::size_t expect_job =
-              batch.add(arena_encode(s.arena(), it->second.msg), seed,
-                        host_.config().heavy_hmac_iterations);
-          pending.push_back(PendingStorageCheck{*resp.stored_job, expect_job, peer.id(), ref,
-                                                t.por, t.relayed_at, span});
-          continue;  // outcome resolves after the batch runs
-        }
-        const crypto::Digest expect = crypto::heavy_hmac(
-            arena_encode(s.arena(), it->second.msg), seed, host_.config().heavy_hmac_iterations);
-        if (crypto::digest_equal(expect, *resp.stored_hmac)) {
-          host_.counters().tests_passed->add();
-          host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 2);
-          tracer.close_span(now, span, 2);
-          continue;  // passed: the relay still stores the message
-        }
-      } else {
+      if (it == holds.end() || !it->second.has_msg) {
         host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 3);
         tracer.close_span(now, span, 3);
         continue;  // source can no longer verify; give the benefit of the doubt
       }
+      host_.count_heavy_hmac();
+      // The batch copies both inputs into its own arena, so the encode can
+      // live in the session arena's current generation.
+      const std::size_t expect_job =
+          batch.add(arena_encode(s.arena(), it->second.msg),
+                    BytesView(challenge.seed.data(), challenge.seed.size()),
+                    host_.config().heavy_hmac_iterations);
+      pending.push_back(PendingStorageCheck{resp.stored_job, expect_job, peer.id(), ref, t.por,
+                                            t.relayed_at, span});
+      continue;  // outcome resolves after the batch runs
     }
 
     // Failure: broadcastable proof of misbehaviour — the PoR the relay signed.
@@ -193,11 +175,11 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
   }
 }
 
-TestResponse AuditEngine::respond(Session& s, const MessageHash& h, BytesView seed,
-                                  crypto::HeavyHmacBatch* defer) {
+TestResponse AuditEngine::respond(Session& s, BytesView rqst, crypto::HeavyHmacBatch& batch) {
+  const PorRqstFrame rq = s.recv<PorRqstFrame>(host_, rqst);
   TestResponse resp;
   auto& holds = host_.handshake().holds();
-  const auto it = holds.find(h);
+  const auto it = holds.find(rq.h);
   if (it == holds.end()) {
     // Nothing to show: a dropper past Delta2, or a dropper that kept no state.
     return resp;
@@ -210,7 +192,7 @@ TestResponse AuditEngine::respond(Session& s, const MessageHash& h, BytesView se
     resp.pors = hold.pors;
     for (const auto& por : resp.pors) s.transfer(host_, por.wire_size(), obs::WireKind::Por);
     if (hold.pors.size() < host_.config().relay_fanout && hold.has_msg) {
-      storage_proof(s, hold, h, seed, resp, defer);
+      storage_proof(s, hold, rq, resp, batch);
     }
     return resp;
   }
@@ -223,42 +205,27 @@ TestResponse AuditEngine::respond(Session& s, const MessageHash& h, BytesView se
   }
   if (hold.has_msg) {
     resp.pors = hold.pors;  // show what we have (0 or 1)
-    storage_proof(s, hold, h, seed, resp, defer);
+    storage_proof(s, hold, rq, resp, batch);
     return resp;
   }
   return resp;  // dropper: no PoRs, no message
 }
 
-void AuditEngine::storage_proof(Session& s, const Hold& hold, const MessageHash& h,
-                                BytesView seed, TestResponse& resp,
-                                crypto::HeavyHmacBatch* defer) {
+void AuditEngine::storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq,
+                                TestResponse& resp, crypto::HeavyHmacBatch& batch) {
   host_.count_heavy_hmac();
   host_.counters().storage_challenges->add();
   host_.trace_event(obs::EventKind::StorageChallenge, s.peer_of(host_).id(),
-                    host_.env_.msg_ref(h), host_.config().heavy_hmac_iterations);
-  if (defer != nullptr) {
-    // The batch copies both inputs into its own arena, so the encode can live
-    // in the session arena's current generation.
-    resp.stored_job = defer->add(arena_encode(s.arena(), hold.msg),
-                                 seed, host_.config().heavy_hmac_iterations);
-    // The digest is not known yet; the STORED_RESP frame is accounted at its
-    // canonical size either way (the challenger resolves it from the batch).
-    host_.counters().frames_encoded->add();
-  } else {
-    // Eager path: the digest rides a real STORED_RESP frame round trip; the
-    // message encoding and the frame live in the challenge's arena span.
-    StoredRespFrame frame;
-    frame.h = h;
-    std::copy(seed.begin(), seed.end(), frame.seed.begin());
-    frame.digest = crypto::heavy_hmac(arena_encode(s.arena(), hold.msg), seed,
-                                      host_.config().heavy_hmac_iterations);
-    const BytesView frame_bytes = arena_encode(s.arena(), frame);
-    host_.counters().frames_encoded->add();
-    resp.stored_hmac = StoredRespFrame::decode(frame_bytes).digest;
-    static_cast<RelayNode&>(s.peer_of(host_)).counters().frames_decoded->add();
-  }
-  const std::size_t sig = host_.identity().suite().signature_size();
-  s.signed_control(host_, StoredRespFrame::kWireBytes + sig, obs::WireKind::StoredResp);
+                    host_.env_.msg_ref(rq.h), host_.config().heavy_hmac_iterations);
+  // The batch copies both inputs into its own arena, so the encode can live
+  // in the session arena's current generation.
+  resp.stored_job = batch.add(arena_encode(s.arena(), hold.msg),
+                              BytesView(rq.seed.data(), rq.seed.size()),
+                              host_.config().heavy_hmac_iterations);
+  StoredRespFrame frame;
+  frame.h = rq.h;
+  frame.seed = rq.seed;
+  resp.stored_resp = s.send(host_, frame);
 }
 
 std::size_t AuditEngine::pending_count() const {

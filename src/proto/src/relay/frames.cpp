@@ -75,13 +75,11 @@ RelayOkFrame RelayOkFrame::decode(BytesView b) {
 }
 
 std::size_t RelayDataFrame::wire_size() const {
-  std::size_t inner = msg.wire_size();
-  for (const auto& a : attachments) inner += a.wire_size();
-  return 1 + 32 + 8 + inner;
+  return RelayDataParts{h, msg, attachments}.wire_size();
 }
 
 void RelayDataFrame::encode_into(SpanWriter& w) const {
-  relay_data_encode_into(w, h, msg, attachments);
+  RelayDataParts{h, msg, attachments}.encode_into(w);
 }
 
 Bytes RelayDataFrame::encode() const { return encode_exact(*this); }
@@ -100,15 +98,13 @@ RelayDataFrame RelayDataFrame::decode(BytesView b) {
   return f;
 }
 
-std::size_t relay_data_wire_size(const SealedMessage& msg,
-                                 std::span<const QualityDeclaration> attachments) {
+std::size_t RelayDataParts::wire_size() const {
   std::size_t inner = msg.wire_size();
   for (const auto& a : attachments) inner += a.wire_size();
   return 1 + 32 + 8 + inner;
 }
 
-void relay_data_encode_into(SpanWriter& w, const MessageHash& h, const SealedMessage& msg,
-                            std::span<const QualityDeclaration> attachments) {
+void RelayDataParts::encode_into(SpanWriter& w) const {
   // Payload: the message's canonical bytes, then the attachments' canonical
   // bytes back to back (each QualityDeclaration encoding is self-delimiting).
   // Everything is written straight into the destination span — no
@@ -121,15 +117,6 @@ void relay_data_encode_into(SpanWriter& w, const MessageHash& h, const SealedMes
   w.u64(inner);
   msg.encode_into(w);
   for (const auto& a : attachments) a.encode_into(w);
-}
-
-BytesView arena_relay_data(Arena& arena, const MessageHash& h, const SealedMessage& msg,
-                           std::span<const QualityDeclaration> attachments) {
-  const std::span<std::uint8_t> out = arena.alloc(relay_data_wire_size(msg, attachments));
-  SpanWriter w(out);
-  relay_data_encode_into(w, h, msg, attachments);
-  w.expect_full();
-  return {out.data(), out.size()};
 }
 
 std::vector<QualityDeclaration> RelayDataFrameView::decode_attachments() const {
@@ -200,7 +187,7 @@ PorRqstFrame PorRqstFrame::decode(BytesView b) {
   return f;
 }
 
-std::size_t StoredRespFrame::wire_size() const { return kWireBytes; }
+std::size_t StoredRespFrame::wire_size() const { return 1 + 32 + 32 + 32; }
 
 void StoredRespFrame::encode_into(SpanWriter& w) const {
   put_tag(w, FrameTag::StoredResp);

@@ -59,7 +59,6 @@ void HandshakeEngine::drop_payload(Hold& hold) {
 
 void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
   const TimePoint now = s.now();
-  const std::size_t sig = host_.identity().suite().signature_size();
 
   std::vector<MessageHash> candidates;
   for (const auto& [h, hold] : hold_) {
@@ -106,9 +105,7 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
     host_.trace_event(obs::EventKind::HsKeyReveal, taker.id(), ref);
     KeyRevealFrame key;
     key.h = h;
-    const BytesView key_bytes = arena_encode(s.arena(), key);
-    host_.counters().frames_encoded->add();
-    s.signed_control(host_, key_bytes.size() + sig, obs::WireKind::KeyReveal);
+    const BytesView key_bytes = s.send(host_, key);
     host_.env_.notify_relayed(h, host_.id(), taker.id());
     if (out->update_fm) hold.fm = out->new_fm;
     taker.handshake().complete_relay(s, host_, out->data_frame, key_bytes, hold.fm,
@@ -125,63 +122,36 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
   }
 }
 
-std::optional<BytesView> HandshakeEngine::answer_relay_rqst(Session& s, RelayNode& giver,
-                                                            BytesView rqst_frame) {
-  const RelayRqstFrame rq = RelayRqstFrame::decode(rqst_frame);
-  host_.counters().frames_decoded->add();
-  const std::size_t sig = host_.identity().suite().signature_size();
-  const std::uint64_t ref = host_.env_.msg_ref(rq.h);
-  if (handled_.contains(rq.h)) {
-    // "node B informs S that it should not be chosen as a relay" — and it
-    // answers honestly, because it cannot know whether it is the destination.
-    host_.trace_event(obs::EventKind::HsRelayOk, giver.id(), ref, 0);
-    const BytesView decline = arena_encode(s.arena(), RelayOkFrame{rq.h, false});
-    host_.counters().frames_encoded->add();
-    s.signed_control(host_, decline.size() + sig, obs::WireKind::RelayOk);
-    return std::nullopt;
-  }
-  // Step 2: RELAY_OK.
-  host_.trace_event(obs::EventKind::HsRelayOk, giver.id(), ref, 1);
-  const BytesView ok = arena_encode(s.arena(), RelayOkFrame{rq.h, true});
-  host_.counters().frames_encoded->add();
-  s.signed_control(host_, ok.size() + sig, obs::WireKind::RelayOk);
-
-  // Step 4: sign the PoR. (The encrypted message of step 3 has arrived; the
-  // giver accounts its bytes.)
-  ProofOfRelay por;
-  por.h = rq.h;
-  por.giver = giver.id();
-  por.taker = host_.id();
-  por.at = s.now();
-  return countersign(s, giver, std::move(por));
+BytesView HandshakeEngine::answer_relay_rqst(Session& s, RelayNode& giver,
+                                            BytesView rqst_frame) {
+  const RelayRqstFrame rq = s.recv<RelayRqstFrame>(host_, rqst_frame);
+  // Step 2: RELAY_OK, or "node B informs S that it should not be chosen as a
+  // relay" — and it answers honestly, because it cannot know whether it is
+  // the destination.
+  const bool accept = !handled_.contains(rq.h);
+  host_.trace_event(obs::EventKind::HsRelayOk, giver.id(), host_.env_.msg_ref(rq.h),
+                    accept ? 1 : 0);
+  return s.send(host_, RelayOkFrame{rq.h, accept});
 }
 
 BytesView HandshakeEngine::countersign(Session& s, RelayNode& giver, ProofOfRelay por) {
   host_.count_signature();
   // The signed payload is built in the arena; the signature it produces is
   // owned by the PoR (it outlives the attempt inside Holds and PoMs).
-  Arena& arena = s.arena();
-  const std::span<std::uint8_t> payload = arena.alloc(por.signed_payload_size());
-  SpanWriter pw(payload);
-  por.signed_payload_into(pw);
-  pw.expect_full();
-  por.taker_signature = host_.identity().sign(BytesView(payload.data(), payload.size()));
+  por.taker_signature = host_.identity().sign(arena_signed_payload(s.arena(), por));
   host_.counters().pors_issued->add();
   const std::uint64_t ref = host_.env_.msg_ref(por.h);
   host_.trace_event(obs::EventKind::HsPorSigned, giver.id(), ref);
   host_.trace_event(obs::EventKind::PorIssued, giver.id(), ref);
-  s.transfer(host_, por.wire_size(), obs::WireKind::Por);
-  return arena_encode(arena, por);
+  return s.send(host_, por);
 }
 
 void HandshakeEngine::complete_relay(Session& s, RelayNode& giver, BytesView data_frame,
                                      BytesView key_frame, double new_fm, TimePoint expires) {
   // In-place decode: the message and attachments are read from the frame
   // bytes through views; only what the Hold must own is materialized.
-  const RelayDataFrameView data = RelayDataFrameView::decode(data_frame);
-  const KeyRevealFrame key = KeyRevealFrame::decode(key_frame);
-  host_.counters().frames_decoded->add(2);
-  (void)key;  // the box seal emulates E_k; see KeyRevealFrame
+  const RelayDataFrameView data = s.recv<RelayDataFrameView>(host_, data_frame);
+  (void)s.recv<KeyRevealFrame>(host_, key_frame);  // the box seal emulates E_k
   // H(m) over the message's wire bytes as they arrived — no re-encode.
   const MessageHash h = data.msg.hash();
   handled_.insert(h);

@@ -96,4 +96,16 @@ template <typename T>
   return {out.data(), out.size()};
 }
 
+/// The bytes `v` signs (signed_payload_into) in an exactly-reserved arena
+/// span, valid until the arena's next reset(). Same exact-fill contract as
+/// arena_encode.
+template <typename T>
+[[nodiscard]] BytesView arena_signed_payload(Arena& arena, const T& v) {
+  const std::span<std::uint8_t> out = arena.alloc(v.signed_payload_size());
+  SpanWriter w(out);
+  v.signed_payload_into(w);
+  w.expect_full();
+  return {out.data(), out.size()};
+}
+
 }  // namespace g2g

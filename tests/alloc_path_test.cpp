@@ -181,8 +181,9 @@ TEST(ArenaEncode, RelayDataBorrowedPartsMatchFrameEncode) {
   frame.attachments.push_back(f.decl);
   const Bytes owned = frame.encode();
   const std::span<const proto::QualityDeclaration> attachments(frame.attachments);
-  EXPECT_EQ(proto::relay::relay_data_wire_size(frame.msg, attachments), frame.wire_size());
-  const BytesView b = proto::relay::arena_relay_data(arena, frame.h, frame.msg, attachments);
+  const proto::relay::RelayDataParts parts{frame.h, frame.msg, attachments};
+  EXPECT_EQ(parts.wire_size(), frame.wire_size());
+  const BytesView b = arena_encode(arena, parts);
   EXPECT_EQ(Bytes(b.begin(), b.end()), owned);
 }
 
@@ -217,16 +218,13 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
     sink += proto::relay::RelayOkFrame::decode(ok).accept ? 1u : 0u;
     // Step 3: RELAY_DATA from borrowed parts; message read back as a view,
     // H(m) computed over the wire bytes without re-encoding.
-    const BytesView data = proto::relay::arena_relay_data(arena, f.h, f.msg, {});
+    const BytesView data = arena_encode(arena, proto::relay::RelayDataParts{f.h, f.msg, {}});
     const proto::relay::RelayDataFrameView view =
         proto::relay::RelayDataFrameView::decode(data);
     sink += view.msg.hash()[0];
     sink += view.decode_attachments().size();
     // Step 4: PoR — signed payload and wire encoding both in the arena.
-    const std::span<std::uint8_t> payload = arena.alloc(f.por.signed_payload_size());
-    SpanWriter pw(payload);
-    f.por.signed_payload_into(pw);
-    pw.expect_full();
+    sink += arena_signed_payload(arena, f.por).size();
     const BytesView por_wire = arena_encode(arena, f.por);
     sink += proto::ProofOfRelayView::decode(por_wire).taker_signature.size();
     // Step 5: KEY reveal.

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "g2g/core/experiment.hpp"
+#include "g2g/crypto/suite.hpp"
 #include "g2g/obs/event.hpp"
 
 namespace g2g::core {
@@ -30,6 +32,23 @@ ExperimentConfig sweep_config(Protocol p, std::uint64_t seed,
   cfg.deviant_count = deviants;
   cfg.seed = seed;
   return cfg;
+}
+
+// The relay session seam's accounting contract (G2G protocols only): every
+// frame one side sends, the other side decodes; and every fixed-size frame
+// kind is charged exactly its encoded size plus the control signature.
+void expect_seam_accounting(const ExperimentResult& r) {
+  const obs::Registry& c = r.counters;
+  EXPECT_GT(c.value("g2g.frame.encoded"), 0u);
+  EXPECT_EQ(c.value("g2g.frame.encoded"), c.value("g2g.frame.decoded"));
+  const std::uint64_t sig = crypto::make_fast_suite()->signature_size();
+  const std::pair<const char*, std::uint64_t> fixed[] = {
+      {"relay_rqst", 33}, {"relay_ok", 33}, {"key_reveal", 65},
+      {"por_rqst", 65},   {"stored_resp", 97}, {"fq_rqst", 37}};
+  for (const auto& [kind, size] : fixed) {
+    const std::string base = std::string("wire.") + kind;
+    EXPECT_EQ(c.value(base + ".bytes"), c.value(base + ".msgs") * (size + sig)) << kind;
+  }
 }
 
 using SweepParam = std::tuple<Protocol, std::uint64_t>;
@@ -71,8 +90,8 @@ TEST_P(InvariantSweep, ConservationAndSanity) {
     received += r.collector.costs(NodeId(n)).bytes_received;
   }
   EXPECT_GT(sent, 0u);
-  // Not exactly equal: control messages are accounted one-way by design
-  // (signed_control bytes go sender->receiver), so totals must match.
+  // Every charge (Session::send and Session::transfer alike) is one-way,
+  // sender->receiver, so the totals must match.
   EXPECT_EQ(sent, received);
 
   // Memory integrals are non-negative and finite.
@@ -81,6 +100,8 @@ TEST_P(InvariantSweep, ConservationAndSanity) {
     EXPECT_GE(mem, 0.0);
     EXPECT_LT(mem, 1e15);
   }
+
+  if (is_g2g(protocol)) expect_seam_accounting(r);
 }
 
 TEST_P(InvariantSweep, DeterministicReplay) {
@@ -133,6 +154,8 @@ TEST_P(DeviantSweep, AccusationsAreSoundAndVerifiable) {
   for (const NodeId n : r.collector.detected_nodes()) {
     EXPECT_TRUE(r.collector.evictions().contains(n));
   }
+
+  expect_seam_accounting(r);  // every DeviantSweep protocol is a G2G one
 }
 
 INSTANTIATE_TEST_SUITE_P(

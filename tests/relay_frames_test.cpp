@@ -1,6 +1,7 @@
-// The relay core's wire frames: canonical round-trips, byte-size identity
-// with the wire:: cost helpers (the refactor's bit-identity hinges on it),
-// and strict rejection of foreign tags and trailing bytes.
+// The relay core's wire frames: canonical round-trips, pinned encoded sizes
+// (Session::send charges a frame its encoded size plus the control signature,
+// so the cost model hinges on them), and strict rejection of foreign tags
+// and trailing bytes.
 #include <gtest/gtest.h>
 
 #include "g2g/crypto/identity.hpp"
@@ -53,9 +54,7 @@ class RelayFrames : public ::testing::Test {
 TEST_F(RelayFrames, RelayRqstRoundTripAndSizeIdentity) {
   const RelayRqstFrame f{hash_of(0x11)};
   const Bytes b = f.encode();
-  // The frame plus the control signature must cost exactly what the old
-  // size-arithmetic path charged.
-  EXPECT_EQ(b.size() + 64, wire::relay_rqst(64));
+  EXPECT_EQ(b.size(), 33u);  // tag + H(m)
   EXPECT_EQ(f.wire_size(), b.size());
   const RelayRqstFrame d = RelayRqstFrame::decode(b);
   EXPECT_EQ(d.h, f.h);
@@ -67,7 +66,7 @@ TEST_F(RelayFrames, RelayOkCarriesAcceptBitInTheTag) {
   const Bytes ok_b = ok.encode();
   const Bytes no_b = no.encode();
   EXPECT_EQ(ok_b.size(), no_b.size());  // accept and decline cost the same
-  EXPECT_EQ(ok_b.size() + 64, wire::relay_ok(64));
+  EXPECT_EQ(ok_b.size(), 33u);  // tag + H(m)
   EXPECT_NE(ok_b[0], no_b[0]);
   EXPECT_TRUE(RelayOkFrame::decode(ok_b).accept);
   EXPECT_FALSE(RelayOkFrame::decode(no_b).accept);
@@ -84,7 +83,7 @@ TEST_F(RelayFrames, RelayDataRoundTripWithAttachments) {
   std::size_t attach_bytes = 0;
   for (const auto& a : f.attachments) attach_bytes += a.wire_size();
   const Bytes b = f.encode();
-  EXPECT_EQ(b.size() + 64, wire::relay_data(64, f.msg.wire_size() + attach_bytes));
+  EXPECT_EQ(b.size(), 41 + f.msg.wire_size() + attach_bytes);  // tag + H(m) + u64 length
 
   const RelayDataFrame d = RelayDataFrame::decode(b);
   EXPECT_EQ(d.h, f.h);
@@ -100,7 +99,7 @@ TEST_F(RelayFrames, RelayDataWithoutAttachmentsRoundTrips) {
   f.msg = message();
   f.h = f.msg.hash();
   const Bytes b = f.encode();
-  EXPECT_EQ(b.size() + 32, wire::relay_data(32, f.msg.wire_size()));
+  EXPECT_EQ(b.size(), 41 + f.msg.wire_size());
   const RelayDataFrame d = RelayDataFrame::decode(b);
   EXPECT_TRUE(d.attachments.empty());
   EXPECT_EQ(d.msg.encode(), f.msg.encode());
@@ -111,7 +110,7 @@ TEST_F(RelayFrames, KeyRevealRoundTripAndSizeIdentity) {
   f.h = hash_of(0x33);
   for (std::size_t i = 0; i < f.key.size(); ++i) f.key[i] = static_cast<std::uint8_t>(i);
   const Bytes b = f.encode();
-  EXPECT_EQ(b.size() + 64, wire::key_reveal(64));
+  EXPECT_EQ(b.size(), 65u);  // tag + H(m) + key
   const KeyRevealFrame d = KeyRevealFrame::decode(b);
   EXPECT_EQ(d.h, f.h);
   EXPECT_EQ(d.key, f.key);
@@ -122,7 +121,7 @@ TEST_F(RelayFrames, PorRqstRoundTripAndSizeIdentity) {
   f.h = hash_of(0x44);
   f.seed.fill(0xAB);
   const Bytes b = f.encode();
-  EXPECT_EQ(b.size() + 64, wire::por_rqst(64));
+  EXPECT_EQ(b.size(), 65u);  // tag + H(m) + seed
   const PorRqstFrame d = PorRqstFrame::decode(b);
   EXPECT_EQ(d.h, f.h);
   EXPECT_EQ(d.seed, f.seed);
@@ -134,8 +133,7 @@ TEST_F(RelayFrames, StoredRespRoundTripAndSizeIdentity) {
   f.seed.fill(0x01);
   f.digest.fill(0xEE);
   const Bytes b = f.encode();
-  EXPECT_EQ(b.size(), StoredRespFrame::kWireBytes);
-  EXPECT_EQ(b.size() + 64, wire::stored_resp(64));
+  EXPECT_EQ(b.size(), 97u);  // tag + H(m) + seed + digest
   const StoredRespFrame d = StoredRespFrame::decode(b);
   EXPECT_EQ(d.h, f.h);
   EXPECT_EQ(d.seed, f.seed);
@@ -145,7 +143,7 @@ TEST_F(RelayFrames, StoredRespRoundTripAndSizeIdentity) {
 TEST_F(RelayFrames, FqRqstRoundTripAndSizeIdentity) {
   const FqRqstFrame f{hash_of(0x66), NodeId(321)};
   const Bytes b = f.encode();
-  EXPECT_EQ(b.size() + 64, wire::fq_rqst(64));
+  EXPECT_EQ(b.size(), 37u);  // tag + H(m) + D'
   const FqRqstFrame d = FqRqstFrame::decode(b);
   EXPECT_EQ(d.h, f.h);
   EXPECT_EQ(d.dst, f.dst);
@@ -169,7 +167,6 @@ TEST_F(RelayFrames, WireSizeMatchesEncodedSizeForEveryFrame) {
   StoredRespFrame stored;
   stored.h = h;
   EXPECT_EQ(stored.wire_size(), stored.encode().size());
-  EXPECT_EQ(stored.wire_size(), StoredRespFrame::kWireBytes);
   const FqRqstFrame fq{h, NodeId(7)};
   EXPECT_EQ(fq.wire_size(), fq.encode().size());
 

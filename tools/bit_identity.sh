@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Bit-identity gate for protocol refactors. The relay-core contract is that
 # restructuring never changes protocol behaviour: one --quick run each of the
-# fig4 / fig7 detection sweeps must produce byte-identical tables at HEAD and
-# at the base revision.
+# fig4 / fig7 detection sweeps and of the bandwidth ablation must produce
+# byte-identical tables at HEAD and at the base revision. The ablation's
+# byte-budgeted contacts make it the one table whose outcomes depend on the
+# size and order of every wire charge, so it catches accounting drift that
+# fig4 / fig7 (unlimited contacts) cannot.
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -12,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-benches=(fig4_detection_g2g_epidemic fig7_detection_g2g_delegation)
+benches=(fig4_detection_g2g_epidemic fig7_detection_g2g_delegation ablation_bandwidth)
 
 base="${1:-}"
 if [[ -z "$base" ]]; then
