@@ -1,12 +1,11 @@
 // Micro-benchmarks of the protocol layer: sealed-message creation/opening,
 // PoR/PoM signing and verification, and the relay core's hot paths — wire
-// frame codecs (frames/sec), one full 5-step handshake, the audit storage
-// proof (audits/sec), and the batched PoM gossip re-verification.
+// frame codecs (frames/sec), one full 5-step handshake and the audit storage
+// proof (audits/sec).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/network.hpp"
 #include "g2g/proto/relay/frames.hpp"
-#include "g2g/proto/relay/pom.hpp"
 #include "g2g/proto/wire.hpp"
 #include "g2g/trace/contact.hpp"
 
@@ -334,40 +332,6 @@ void BM_AuditStorageProof(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AuditStorageProof);
-
-/// Re-verification of one session's gossiped PoMs: dedup by canonical bytes,
-/// structural checks, one Suite::verify_batch over the unique evidence.
-void BM_PomGossipBatchVerify(benchmark::State& state) {
-  RelayWorld world;
-  constexpr std::uint32_t kPoms = 16;
-  G2GEpidemicNode& giver = world.net->node(NodeId(0));
-  G2GEpidemicNode& receiver = world.net->node(NodeId(1));
-  for (std::uint32_t c = 0; c < kPoms; ++c) {
-    const NodeId culprit(2 + c);
-    ProofOfRelay por;
-    por.h.fill(static_cast<std::uint8_t>(c + 1));
-    por.giver = giver.id();
-    por.taker = culprit;
-    por.at = TimePoint::from_seconds(10.0);
-    por.taker_signature = world.net->node(culprit).identity().sign(por.signed_payload());
-    ProofOfMisbehavior pom;
-    pom.kind = ProofOfMisbehavior::Kind::RelayFailure;
-    pom.culprit = culprit;
-    pom.accuser = giver.id();
-    pom.evidence_accepted = std::move(por);
-    giver.pom_ledger().record(std::move(pom));
-  }
-  relay::PomGossipBatch batch;
-  batch.collect(giver, receiver);
-  obs::ProtocolCounters& counters = world.net->obs().counters;
-  const Roster& roster = world.net->roster();
-  const crypto::Suite& suite = giver.identity().suite();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.verify(suite, roster, counters));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_PomGossipBatchVerify);
 
 /// Console output plus one telemetry cell per benchmark; allocs/op rides
 /// along when the bench set an AllocMeter counter.

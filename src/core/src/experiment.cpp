@@ -74,9 +74,6 @@ void run_network(const trace::ContactTrace& window, proto::NetworkConfig net_con
     obs::StageTimer timer(stages, "simulation");
     network.run();
   }
-  // Wall clock spent re-verifying gossiped PoMs in batches (a slice of the
-  // simulation stage, reported separately so the batch win is visible).
-  stages.add("pom_batch_verify", network.pom_batch_seconds());
 }
 
 }  // namespace

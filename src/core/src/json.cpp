@@ -123,7 +123,7 @@ std::string registry_json(const obs::Registry& registry, bool include_fastpath) 
   o << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, counter] : registry.counters()) {
-    // Mechanism counters (cache hit rates, frame codec traffic, batch sizes)
+    // Mechanism counters (cache hit rates, frame codec traffic, event counts)
     // describe how the run was computed, not what it computed; excluding them
     // keeps this serialization a bit-identity oracle across such rewirings.
     if (!include_fastpath &&

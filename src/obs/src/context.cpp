@@ -44,8 +44,6 @@ ProtocolCounters::ProtocolCounters(Registry& r)
       poms_gossiped(&r.counter("pom.gossiped")),
       poms_learned(&r.counter("pom.learned")),
       evictions(&r.counter("pom.evictions")),
-      pom_gossip_dup(&r.counter("g2g.pom.gossip_dup")),
-      pom_batch_verified(&r.counter("g2g.pom.batch_verified")),
       frames_encoded(&r.counter("g2g.frame.encoded")),
       frames_decoded(&r.counter("g2g.frame.decoded")),
       generated(&r.counter("msg.generated")),

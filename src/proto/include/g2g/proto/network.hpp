@@ -47,7 +47,7 @@ struct NetworkConfig {
   obs::ObsContext* obs = nullptr;
 };
 
-class NetworkBase : public sim::ContactListener, public Env {
+class NetworkBase : public Env {
  public:
   NetworkBase(const trace::ContactTrace& trace, NetworkConfig config,
               metrics::Collector& collector);
@@ -74,9 +74,6 @@ class NetworkBase : public sim::ContactListener, public Env {
                         Duration after_delta1) final;
   void broadcast_pom(const ProofOfMisbehavior& pom) final;
 
-  // ContactListener ------------------------------------------------------------
-  void on_contact_down(TimePoint, NodeId, NodeId) final {}
-
   /// Feed pre-window contact history into the nodes' encounter tables, with
   /// timestamps rebased so the window start is t=0 (history is negative).
   /// The Delegation protocols' forwarding qualities are built from the whole
@@ -90,9 +87,6 @@ class NetworkBase : public sim::ContactListener, public Env {
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  /// Wall-clock seconds spent in batched PoM gossip re-verification
-  /// (relay::PomGossipBatch::verify); feeds the stage profile.
-  [[nodiscard]] double pom_batch_seconds() const { return pom_batch_seconds_; }
   [[nodiscard]] ProtocolNode& base_node(NodeId n) { return *generic_nodes_.at(n.value()); }
 
  protected:
@@ -128,22 +122,12 @@ class NetworkBase : public sim::ContactListener, public Env {
   std::vector<BehaviorConfig> behaviors_;
 
  private:
-  // Contacts are scheduled internally with their durations; the
-  // ContactListener entry points remain for API compatibility.
-  void on_contact_up(TimePoint t, NodeId a, NodeId b) final {
-    contact(t, a, b, Duration::max());
-  }
-  /// Sequential fallback of the batched PoM gossip (also the reference
-  /// semantics: the batch must transfer exactly what this would).
-  void gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to);
-
   std::unique_ptr<crypto::Authority> authority_;
   /// The per-run verification memo wrapped around config.suite; run()
   /// flushes its hit/miss stats into the fastpath.* registry counters.
   std::shared_ptr<crypto::CachingSuite> suite_cache_;
   std::vector<ProtocolNode*> generic_nodes_;
   const trace::ContactTrace* trace_;
-  double pom_batch_seconds_ = 0.0;
   /// Private fallback when config.obs is null (counters still collected).
   std::unique_ptr<obs::ObsContext> owned_obs_;
   obs::ObsContext* obs_ = nullptr;

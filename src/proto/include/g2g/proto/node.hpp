@@ -205,10 +205,6 @@ class ProtocolNode {
   /// Receive a gossiped PoM: verify evidence, then blacklist the culprit.
   /// Returns true if the PoM was new and verified.
   bool learn_pom(const ProofOfMisbehavior& pom);
-  /// learn_pom with the evidence verdict precomputed (relay::PomGossipBatch
-  /// re-verifies a whole session's gossip through one Suite::verify_batch).
-  /// The simulated verification cost is still charged per learner.
-  bool learn_pom_preverified(const ProofOfMisbehavior& pom, bool verified);
   [[nodiscard]] const std::vector<ProofOfMisbehavior>& known_poms() const {
     return ledger_.known();
   }
@@ -255,9 +251,6 @@ class ProtocolNode {
   Env& env_;
 
  private:
-  /// Shared tail of learn_pom / learn_pom_preverified past the verdict.
-  bool admit_pom(const ProofOfMisbehavior& pom, bool ok);
-
   crypto::NodeIdentity identity_;
   NodeConfig config_;
   BehaviorConfig behavior_;

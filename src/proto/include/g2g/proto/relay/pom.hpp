@@ -1,32 +1,18 @@
-// PomLedger + PomGossipBatch: the accusation layer of the relay core.
+// PomLedger + PoM gossip: the accusation layer of the relay core.
 //
 // PomLedger is the per-node state every protocol shares: the blacklist and
 // the log of PoMs the node has verified (or issued) and will gossip onward.
 //
-// PomGossipBatch is one session's worth of PoM gossip, restructured for
-// batched re-verification: both gossip directions are *collected* first
-// (replicating, without side effects, exactly which PoMs the sequential
-// exchange would transfer), the unique PoMs are deduped by their canonical
-// encoding and re-verified through one Suite::verify_batch call, and the
-// per-receiver accounting (bytes, counters, traces, learning) then *applies*
-// in the original sequential order with the precomputed verdicts. If any
-// collected PoM fails re-verification — never the case with conforming
-// nodes, since only verified or self-issued PoMs enter a ledger — the caller
-// discards the batch (collect() touched nothing) and falls back to the plain
-// sequential gossip, keeping the two paths bit-identical unconditionally.
+// gossip_poms is one direction of a session's PoM gossip: each PoM crosses
+// as an unsigned transfer, and the receiver checks its evidence and, if it
+// holds, blacklists the culprit (ProtocolNode::learn_pom).
 #pragma once
 
-#include <deque>
-#include <map>
+#include <cstddef>
 #include <set>
 #include <vector>
 
 #include "g2g/proto/wire.hpp"
-
-namespace g2g::obs {
-struct ObsContext;
-struct ProtocolCounters;
-}  // namespace g2g::obs
 
 namespace g2g::proto {
 class ProtocolNode;
@@ -53,45 +39,10 @@ class PomLedger {
   std::vector<ProofOfMisbehavior> poms_;
 };
 
-/// One session's PoM gossip: collect -> verify (dedup + one verify_batch) ->
-/// apply, with a side-effect-free collect so the caller can still fall back
-/// to the sequential path when a verdict comes back false.
-class PomGossipBatch {
- public:
-  /// Record what the sequential `from -> to` gossip pass would transfer.
-  /// Mirrors the receiver's blacklist growth speculatively (a PoM a receiver
-  /// would learn suppresses later PoMs about the same culprit), so calling
-  /// this for both directions reproduces the sequential exchange exactly.
-  void collect(ProtocolNode& from, ProtocolNode& to);
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-
-  /// Dedup the collected PoMs by canonical encoding and re-verify the unique
-  /// ones through one Suite::verify_batch call (structural checks stay per
-  /// PoM). Returns true iff every PoM a receiver would actually judge
-  /// (culprit != receiver) verified; on false the caller must discard the
-  /// batch and gossip sequentially.
-  [[nodiscard]] bool verify(const crypto::Suite& suite, const Roster& roster,
-                            obs::ProtocolCounters& counters);
-
-  /// Replay the gossip in collection order: byte accounting, gossip counters
-  /// and traces, then learn_pom_preverified with the batch verdicts. Only
-  /// valid after verify() returned true.
-  void apply(Session& s, obs::ObsContext& obs);
-
- private:
-  struct Item {
-    ProtocolNode* from;
-    ProtocolNode* to;
-    const ProofOfMisbehavior* pom;  ///< points into store_
-  };
-
-  std::deque<ProofOfMisbehavior> store_;  ///< pointer-stable copies
-  std::vector<Item> items_;
-  /// Speculative per-receiver blacklist growth during collect().
-  std::map<const ProtocolNode*, std::set<NodeId>> spec_blacklist_;
-  std::vector<char> item_ok_;  ///< per-item verdicts, filled by verify()
-};
+/// Gossip `from`'s PoMs to `to` over `s`: every PoM whose culprit `to` has
+/// not blacklisted (yet: a learned PoM suppresses later ones about the same
+/// culprit) is charged to the session (wire.pom, pom.gossiped, a PomGossip
+/// event) and handed to `to.learn_pom`. Returns the number of PoMs carried.
+std::size_t gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to);
 
 }  // namespace g2g::proto::relay

@@ -18,7 +18,6 @@
 // size; only the session-start certificate is sized here.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -163,16 +162,6 @@ struct ProofOfMisbehavior {
 /// no interest in lying — Section VI-A).
 [[nodiscard]] bool verify_pom(const crypto::Suite& suite, const Roster& roster,
                               const ProofOfMisbehavior& pom);
-
-/// Split form of verify_pom for batched re-verification: runs every
-/// structural / field / arithmetic check of the claimed kind and, when they
-/// pass, appends the evidence signature checks as batchable requests
-/// (`payloads` owns the signed payloads the request views point into, so it
-/// must outlive the batch call). Returns the structural verdict; the PoM is
-/// valid iff this returns true AND every appended request verifies.
-[[nodiscard]] bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& pom,
-                                            std::deque<Bytes>& payloads,
-                                            std::vector<crypto::VerifyRequest>& requests);
 
 namespace wire {
 /// Session-start certificate: node id, public key, the authority's signature

@@ -237,10 +237,6 @@ bool G2GDelegationNode::chain_check(const relay::PendingTest& t,
                                     const std::vector<ProofOfRelay>& pors, NodeId real_dst,
                                     TimePoint now) {
   const std::uint64_t ref = env_.msg_ref(t.h);
-  const auto record_cheat = [&] {
-    counters().chain_cheats->add();
-    trace_event(obs::EventKind::ChainCheck, t.relay, ref, 0);
-  };
   // Presented PoRs in relay order.
   std::vector<ProofOfRelay> ordered = pors;
   std::sort(ordered.begin(), ordered.end(),
@@ -250,6 +246,21 @@ bool G2GDelegationNode::chain_check(const relay::PendingTest& t,
   // Initially that is the PoR the tested relay signed for us (f_AD).
   ProofOfRelay establisher = t.por;
   double expected_fm = t.por.taker_quality;
+
+  // A detected cheat: the establishing PoR against the offending forward is
+  // the ChainCheat PoM's evidence. Fails the test.
+  const auto cheat = [&](const ProofOfRelay& forwarded) {
+    counters().chain_cheats->add();
+    trace_event(obs::EventKind::ChainCheck, t.relay, ref, 0);
+    ProofOfMisbehavior pom;
+    pom.kind = ProofOfMisbehavior::Kind::ChainCheat;
+    pom.culprit = t.relay;
+    pom.evidence_accepted = establisher;
+    pom.evidence_forwarded = forwarded;
+    issue_pom(std::move(pom), metrics::DetectionMethod::ChainCheck,
+              now - (t.relayed_at + config().delta1));
+    return false;
+  };
 
   for (const auto& por : ordered) {
     count_verification();
@@ -264,43 +275,15 @@ bool G2GDelegationNode::chain_check(const relay::PendingTest& t,
     if (claims_decoy && por.taker != real_dst) {
       // The relay pretended its taker was the destination (decoy on a
       // non-destination): a way to dump the message regardless of quality.
-      record_cheat();
-      ProofOfMisbehavior pom;
-      pom.kind = ProofOfMisbehavior::Kind::ChainCheat;
-      pom.culprit = t.relay;
-      pom.evidence_accepted = establisher;
-      pom.evidence_forwarded = por;
-      issue_pom(std::move(pom), metrics::DetectionMethod::ChainCheck,
-                now - (t.relayed_at + config().delta1));
-      return false;
+      return cheat(por);
     }
     const bool is_delivery = por.taker == real_dst;
 
     // f_m attached on forward must match the quality the chain established.
-    if (quality_mismatch(por.msg_quality, expected_fm)) {
-      record_cheat();
-      ProofOfMisbehavior pom;
-      pom.kind = ProofOfMisbehavior::Kind::ChainCheat;
-      pom.culprit = t.relay;
-      pom.evidence_accepted = establisher;
-      pom.evidence_forwarded = por;
-      issue_pom(std::move(pom), metrics::DetectionMethod::ChainCheck,
-                now - (t.relayed_at + config().delta1));
-      return false;
-    }
+    if (quality_mismatch(por.msg_quality, expected_fm)) return cheat(por);
     if (!is_delivery) {
       // Delegation discipline: the taker must actually be better.
-      if (por.taker_quality <= por.msg_quality + kQualityEps) {
-        record_cheat();
-        ProofOfMisbehavior pom;
-        pom.kind = ProofOfMisbehavior::Kind::ChainCheat;
-        pom.culprit = t.relay;
-        pom.evidence_accepted = establisher;
-        pom.evidence_forwarded = por;
-        issue_pom(std::move(pom), metrics::DetectionMethod::ChainCheck,
-                  now - (t.relayed_at + config().delta1));
-        return false;
-      }
+      if (por.taker_quality <= por.msg_quality + kQualityEps) return cheat(por);
       expected_fm = por.taker_quality;
       establisher = por;
     }

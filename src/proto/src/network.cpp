@@ -1,6 +1,6 @@
 #include "g2g/proto/network.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
 
 #include "g2g/crypto/verify_cache.hpp"
@@ -178,48 +178,25 @@ void NetworkBase::run() {
 bool NetworkBase::open_session(Session& s, ProtocolNode& a, ProtocolNode& b) {
   a.note_encounter(b.id(), now());
   b.note_encounter(a.id(), now());
-  // PoM gossip: accusations spread epidemically at session start. Both
-  // directions are collected side-effect-free, deduped, and re-verified
-  // through one Suite::verify_batch call; the per-receiver accounting then
-  // replays in the exact sequential order with the precomputed verdicts.
-  // Should any PoM fail re-verification (never with conforming nodes, which
-  // only ledger verified or self-issued PoMs), the batch is discarded and
-  // the sequential reference path runs — bit-identical either way.
-  relay::PomGossipBatch batch;
-  batch.collect(a, b);
-  batch.collect(b, a);
-  if (!batch.empty()) {
-    const std::uint64_t span = obs_->tracer.open_span(
-        now(), "pom_gossip", /*parent=*/0, a.id(), b.id());
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool all_ok = batch.verify(a.identity().suite(), roster_, obs_->counters);
-    pom_batch_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (all_ok) {
-      batch.apply(s, *obs_);
-    } else {
-      gossip_poms(s, a, b);
-      gossip_poms(s, b, a);
-    }
-    obs_->tracer.close_span(now(), span, static_cast<std::int64_t>(batch.size()));
+  // PoM gossip: accusations spread epidemically at session start, a -> b
+  // then b -> a. The pom_gossip span covers the exchange when anything
+  // crosses. A PoM crosses iff the receiver has not blacklisted its culprit
+  // at session start: gossip only grows the receiver's blacklist, so the
+  // first such PoM in either ledger is always carried.
+  const auto crosses = [](const ProtocolNode& from, const ProtocolNode& to) {
+    return std::ranges::any_of(from.known_poms(), [&](const ProofOfMisbehavior& pom) {
+      return !to.blacklisted(pom.culprit);
+    });
+  };
+  std::uint64_t span = 0;
+  if (obs_->tracer.enabled() && (crosses(a, b) || crosses(b, a))) {
+    span = obs_->tracer.open_span(now(), "pom_gossip", /*parent=*/0, a.id(), b.id());
   }
+  std::size_t carried = relay::gossip_poms(s, a, b);
+  carried += relay::gossip_poms(s, b, a);
+  obs_->tracer.close_span(now(), span, static_cast<std::int64_t>(carried));
   // If gossip revealed the peer is a known misbehaver, cut the session.
   return a.accepts_session_with(b.id()) && b.accepts_session_with(a.id());
-}
-
-void NetworkBase::gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to) {
-  // Snapshot: learn_pom may append to `to`'s own list, never to `from`'s.
-  const std::vector<ProofOfMisbehavior> known = from.known_poms();
-  for (const auto& pom : known) {
-    if (to.blacklisted(pom.culprit)) continue;  // peer already knows
-    s.transfer(from, pom.wire_size(), obs::WireKind::Pom);
-    obs_->counters.poms_gossiped->add();
-    if (obs_->tracer.enabled()) {
-      obs_->tracer.emit({now(), obs::EventKind::PomGossip, from.id(), to.id(),
-                         pom.culprit.value(), 0});
-    }
-    (void)to.learn_pom(pom);
-  }
 }
 
 }  // namespace g2g::proto

@@ -32,6 +32,21 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
   std::vector<PendingStorageCheck> pending;
   obs::Tracer& tracer = host_.env_.obs().tracer;
 
+  // A failed test: broadcastable proof of misbehaviour, the PoR the relay
+  // signed when it accepted the message.
+  const auto fail = [&](NodeId relay, std::uint64_t ref, const ProofOfRelay& por,
+                        TimePoint relayed_at, std::uint64_t span) {
+    host_.counters().tests_failed->add();
+    host_.trace_event(obs::EventKind::TestBySender, relay, ref, 0);
+    ProofOfMisbehavior pom;
+    pom.kind = ProofOfMisbehavior::Kind::RelayFailure;
+    pom.culprit = relay;
+    pom.evidence_accepted = por;
+    host_.issue_pom(std::move(pom), metrics::DetectionMethod::TestBySender,
+                    now - (relayed_at + host_.config().delta1));
+    tracer.close_span(now, span, 0);
+  };
+
   for (PendingTest& t : tests_) {
     if (s.exhausted()) break;
     if (t.done || t.relay != peer.id()) continue;
@@ -142,16 +157,8 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
       continue;  // outcome resolves after the batch runs
     }
 
-    // Failure: broadcastable proof of misbehaviour — the PoR the relay signed.
-    host_.counters().tests_failed->add();
-    host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 0);
-    ProofOfMisbehavior pom;
-    pom.kind = ProofOfMisbehavior::Kind::RelayFailure;
-    pom.culprit = peer.id();
-    pom.evidence_accepted = t.por;
-    host_.issue_pom(std::move(pom), metrics::DetectionMethod::TestBySender,
-                    now - (t.relayed_at + host_.config().delta1));
-    tracer.close_span(now, span, 0);
+    // Neither: the relay failed the test.
+    fail(peer.id(), ref, t.por, t.relayed_at, span);
   }
 
   if (pending.empty()) return;
@@ -163,15 +170,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
       tracer.close_span(now, c.span, 2);
       continue;
     }
-    host_.counters().tests_failed->add();
-    host_.trace_event(obs::EventKind::TestBySender, c.relay, c.ref, 0);
-    ProofOfMisbehavior pom;
-    pom.kind = ProofOfMisbehavior::Kind::RelayFailure;
-    pom.culprit = c.relay;
-    pom.evidence_accepted = c.por;
-    host_.issue_pom(std::move(pom), metrics::DetectionMethod::TestBySender,
-                    now - (c.relayed_at + host_.config().delta1));
-    tracer.close_span(now, c.span, 0);
+    fail(c.relay, c.ref, c.por, c.relayed_at, c.span);
   }
 }
 

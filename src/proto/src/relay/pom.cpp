@@ -1,96 +1,26 @@
 #include "g2g/proto/relay/pom.hpp"
 
-#include <memory>
-#include <span>
-#include <utility>
-
 #include "g2g/obs/context.hpp"
 #include "g2g/proto/node.hpp"
 
 namespace g2g::proto::relay {
 
-void PomGossipBatch::collect(ProtocolNode& from, ProtocolNode& to) {
-  // Snapshot semantics match the sequential pass: gossip only appends to the
-  // *receiver's* ledger, and anything the receiver learns mid-session is a
-  // PoM the other side already blacklists, so the pre-session snapshot of
-  // `from` transfers exactly the same set.
-  std::set<NodeId>& learned = spec_blacklist_[&to];
+std::size_t gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to) {
+  obs::ObsContext& obs = s.env().obs();
+  std::size_t carried = 0;
+  // learn_pom appends to `to`'s ledger only, so `from`'s stays put.
   for (const ProofOfMisbehavior& pom : from.known_poms()) {
     if (to.blacklisted(pom.culprit)) continue;  // peer already knows
-    if (learned.contains(pom.culprit)) continue;  // would learn it this session
-    store_.push_back(pom);
-    items_.push_back(Item{&from, &to, &store_.back()});
-    // A receiver never blacklists itself, so a PoM naming it does not
-    // suppress later PoMs (mirrors learn_pom's self-culprit early-out).
-    if (pom.culprit != to.id()) learned.insert(pom.culprit);
-  }
-}
-
-bool PomGossipBatch::verify(const crypto::Suite& suite, const Roster& roster,
-                            obs::ProtocolCounters& counters) {
-  struct Group {
-    bool structural;
-    std::size_t first;  ///< range of this PoM's requests in `requests`
-    std::size_t count;
-    bool sig_ok = true;
-  };
-  std::map<Bytes, std::size_t> groups;  // canonical encoding -> group index
-  std::vector<Group> group_info;
-  std::vector<std::size_t> item_group(items_.size(), 0);
-  std::deque<Bytes> payloads;
-  std::vector<crypto::VerifyRequest> requests;
-
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    const ProofOfMisbehavior& pom = *items_[i].pom;
-    const auto [it, inserted] = groups.try_emplace(pom.encode(), group_info.size());
-    if (inserted) {
-      const std::size_t first = requests.size();
-      const bool structural = pom_collect_verification(roster, pom, payloads, requests);
-      if (!structural) requests.resize(first);  // drop a partial collect
-      group_info.push_back(Group{structural, first, requests.size() - first});
-    } else {
-      counters.pom_gossip_dup->add();
-    }
-    item_group[i] = it->second;
-  }
-
-  if (!requests.empty()) {
-    const auto verdicts = std::make_unique<bool[]>(requests.size());
-    suite.verify_batch(
-        std::span<const crypto::VerifyRequest>(requests.data(), requests.size()),
-        verdicts.get());
-    for (Group& g : group_info) {
-      for (std::size_t r = g.first; r < g.first + g.count; ++r) {
-        if (!verdicts[r]) g.sig_ok = false;
-      }
-    }
-  }
-  counters.pom_batch_verified->add(group_info.size());
-
-  bool all_ok = true;
-  item_ok_.assign(items_.size(), 0);
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    const Group& g = group_info[item_group[i]];
-    item_ok_[i] = (g.structural && g.sig_ok) ? 1 : 0;
-    // A PoM naming the receiver itself is never judged (learn_pom discards
-    // it before verification), so its verdict cannot force the fallback.
-    if (item_ok_[i] == 0 && items_[i].pom->culprit != items_[i].to->id()) all_ok = false;
-  }
-  return all_ok;
-}
-
-void PomGossipBatch::apply(Session& s, obs::ObsContext& obs) {
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    const Item& item = items_[i];
-    const ProofOfMisbehavior& pom = *item.pom;
-    s.transfer(*item.from, pom.wire_size(), obs::WireKind::Pom);
+    s.transfer(from, pom.wire_size(), obs::WireKind::Pom);
     obs.counters.poms_gossiped->add();
     if (obs.tracer.enabled()) {
-      obs.tracer.emit({s.now(), obs::EventKind::PomGossip, item.from->id(), item.to->id(),
+      obs.tracer.emit({s.now(), obs::EventKind::PomGossip, from.id(), to.id(),
                        pom.culprit.value(), 0});
     }
-    (void)item.to->learn_pom_preverified(pom, item_ok_[i] != 0);
+    (void)to.learn_pom(pom);
+    ++carried;
   }
+  return carried;
 }
 
 }  // namespace g2g::proto::relay

@@ -276,26 +276,24 @@ std::size_t ProofOfMisbehavior::wire_size() const {
   return size;
 }
 
-bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& pom,
-                              std::deque<Bytes>& payloads,
-                              std::vector<crypto::VerifyRequest>& requests) {
-  const auto add_por = [&](const ProofOfRelay& por) {
-    const auto* cert = roster.find(por.taker);
-    if (cert == nullptr) return false;
-    payloads.push_back(por.signed_payload());
-    requests.push_back({BytesView(cert->public_key), BytesView(payloads.back()),
-                        BytesView(por.taker_signature)});
-    return true;
-  };
-
+bool verify_pom(const crypto::Suite& suite, const Roster& roster,
+                const ProofOfMisbehavior& pom) {
+  // Signature checks run only after every structural check of the claimed
+  // kind has passed, one suite.verify per evidence artefact, in order.
   switch (pom.kind) {
-    case ProofOfMisbehavior::Kind::RelayFailure:
+    case ProofOfMisbehavior::Kind::RelayFailure: {
       // The culprit signed a PoR accepting the message; the accuser (its
       // giver) attests the storage test failed.
-      return pom.evidence_accepted.has_value() &&
-             pom.evidence_accepted->taker == pom.culprit &&
-             pom.evidence_accepted->giver == pom.accuser &&
-             add_por(*pom.evidence_accepted);
+      if (!pom.evidence_accepted.has_value() ||
+          pom.evidence_accepted->taker != pom.culprit ||
+          pom.evidence_accepted->giver != pom.accuser) {
+        return false;
+      }
+      const ProofOfRelay& por = *pom.evidence_accepted;
+      const auto* cert = roster.find(por.taker);
+      return cert != nullptr &&
+             suite.verify(cert->public_key, por.signed_payload(), por.taker_signature);
+    }
 
     case ProofOfMisbehavior::Kind::QualityLie: {
       // Signed declaration by the culprit; the destination attests the
@@ -304,12 +302,10 @@ bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& po
           pom.evidence_declaration->declarer != pom.culprit) {
         return false;
       }
+      const QualityDeclaration& decl = *pom.evidence_declaration;
       const auto* cert = roster.find(pom.culprit);
-      if (cert == nullptr) return false;
-      payloads.push_back(pom.evidence_declaration->signed_payload());
-      requests.push_back({BytesView(cert->public_key), BytesView(payloads.back()),
-                          BytesView(pom.evidence_declaration->signature)});
-      return true;
+      return cert != nullptr &&
+             suite.verify(cert->public_key, decl.signed_payload(), decl.signature);
     }
 
     case ProofOfMisbehavior::Kind::ChainCheat: {
@@ -329,21 +325,14 @@ bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& po
       if (!in.delegation || !out.delegation) return false;
       // The cheat: quality attached on forward differs from quality accepted.
       if (std::abs(out.msg_quality - in.taker_quality) <= 1e-9) return false;
-      return add_por(in) && add_por(out);
+      const auto* in_cert = roster.find(in.taker);
+      const auto* out_cert = roster.find(out.taker);
+      return in_cert != nullptr && out_cert != nullptr &&
+             suite.verify(in_cert->public_key, in.signed_payload(), in.taker_signature) &&
+             suite.verify(out_cert->public_key, out.signed_payload(), out.taker_signature);
     }
   }
   return false;
-}
-
-bool verify_pom(const crypto::Suite& suite, const Roster& roster,
-                const ProofOfMisbehavior& pom) {
-  std::deque<Bytes> payloads;
-  std::vector<crypto::VerifyRequest> requests;
-  if (!pom_collect_verification(roster, pom, payloads, requests)) return false;
-  for (const auto& rq : requests) {
-    if (!suite.verify(rq.public_key, rq.message, rq.signature)) return false;
-  }
-  return true;
 }
 
 }  // namespace g2g::proto

@@ -3,7 +3,8 @@
 // A Simulator is a deterministic time-ordered callback queue: events
 // scheduled at equal timestamps fire in scheduling order. Contact traces are
 // fed in through schedule_trace(), which turns every ContactEvent into an
-// up/down callback pair on a ContactListener (the protocol Network).
+// up/down callback pair on a ContactListener. (The protocol Network
+// schedules its contacts itself, so each session knows its duration.)
 #pragma once
 
 #include <cstdint>

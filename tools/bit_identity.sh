@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Bit-identity gate for protocol refactors. The relay-core contract is that
-# restructuring never changes protocol behaviour: one --quick run each of the
-# fig4 / fig7 detection sweeps and of the bandwidth ablation must produce
-# byte-identical tables at HEAD and at the base revision. The ablation's
-# byte-budgeted contacts make it the one table whose outcomes depend on the
-# size and order of every wire charge, so it catches accounting drift that
-# fig4 / fig7 (unlimited contacts) cannot.
+# restructuring never changes protocol behaviour: one --quick run of every
+# figure and table bench (fig3, fig4, fig5, fig7, fig8, table1 and both
+# ablations) must produce byte-identical tables at HEAD and at the base
+# revision. The bandwidth ablation's byte-budgeted contacts make it the one
+# table whose outcomes depend on the size and order of every wire charge, so
+# it catches accounting drift that the unlimited-contact figures cannot; the
+# mechanism ablation covers PoM dissemination by gossip vs instant broadcast.
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -15,7 +16,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-benches=(fig4_detection_g2g_epidemic fig7_detection_g2g_delegation ablation_bandwidth)
+benches=(fig3_droppers_epidemic fig4_detection_g2g_epidemic fig5_deviations_delegation
+         fig7_detection_g2g_delegation fig8_cost_tradeoff table1_delegation_detection
+         ablation_bandwidth ablation_mechanisms)
 
 base="${1:-}"
 if [[ -z "$base" ]]; then

@@ -87,8 +87,7 @@ const std::set<std::string>& registered_span_names() {
       // spans
       "msg", "relay_session", "audit_round", "pom_gossip",
       // stages
-      "trace_gen", "communities", "warm_up", "simulation",
-      "pom_batch_verify", "extraction",
+      "trace_gen", "communities", "warm_up", "simulation", "extraction",
   };
   return names;
 }
