@@ -71,14 +71,20 @@ struct HeavyHmacJob {
 
 /// Owning collector for deferring heavy-HMAC chains discovered one at a time
 /// (the G2G audit loops queue every storage proof in a contact, then compute
-/// them all in parallel lanes). add() copies its inputs into a batch-owned
-/// arena whose chunks are recycled across run() cycles, so a warmed-up batch
-/// performs no per-challenge heap allocation; run() returns digests in add()
-/// order, then clears the queue and resets the arena.
+/// them all in parallel lanes). Each distinct job is computed once: add()
+/// returns the index of its digest in run()'s result, and a job whose
+/// iteration count, seed and message are byte-equal to one already queued
+/// gets that job's index and copies nothing. Anything else (one byte of
+/// message or seed, a length, the iteration count) makes a new job. add()
+/// copies a new job's inputs into a batch-owned arena whose chunks are
+/// recycled across run() cycles, so a warmed-up batch performs no
+/// per-challenge heap allocation; run() returns one digest per distinct job,
+/// then clears the queue and resets the arena.
 class HeavyHmacBatch {
  public:
   std::size_t add(BytesView message, BytesView seed, std::uint32_t iterations);
   [[nodiscard]] std::vector<Digest> run();
+  /// Distinct jobs queued (the chains run() will compute).
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
   [[nodiscard]] bool empty() const { return jobs_.empty(); }
 

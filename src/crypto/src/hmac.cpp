@@ -194,6 +194,14 @@ std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs) {
 }
 
 std::size_t HeavyHmacBatch::add(BytesView message, BytesView seed, std::uint32_t iterations) {
+  // A byte-identical job is the same pure chain: hand back its digest slot.
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const HeavyHmacJob& q = jobs_[j];
+    if (q.iterations == iterations && std::ranges::equal(q.seed, seed) &&
+        std::ranges::equal(q.message, message)) {
+      return j;
+    }
+  }
   const auto own = [this](BytesView v) {
     const std::span<std::uint8_t> dst = arena_.alloc(v.size());
     std::copy(v.begin(), v.end(), dst.begin());

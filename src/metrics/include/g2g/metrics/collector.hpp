@@ -23,7 +23,7 @@ struct NodeCosts {
   std::uint64_t bytes_received = 0;
   std::uint64_t signatures = 0;
   std::uint64_t verifications = 0;
-  std::uint64_t heavy_hmacs = 0;        // storage-proof challenges computed
+  std::uint64_t heavy_hmacs = 0;        // storage-proof chains charged (prover and verifier)
   std::uint64_t sessions = 0;           // authenticated contacts
   double memory_byte_seconds = 0.0;     // integral of buffer occupancy
 

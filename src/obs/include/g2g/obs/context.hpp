@@ -62,7 +62,7 @@ struct ProtocolCounters {
   Counter* tests_by_sender;
   Counter* tests_passed;
   Counter* tests_failed;
-  Counter* storage_challenges;  ///< heavy HMACs computed (prover + verifier)
+  Counter* storage_challenges;  ///< storage proofs answered (one per relay proof)
   Counter* chain_cheats;
   Counter* quality_lies;
 
@@ -73,11 +73,12 @@ struct ProtocolCounters {
   Counter* evictions;
 
   // Relay-core mechanism counters ("g2g.*"). They describe how the run was
-  // computed (frame codec traffic), not what it computed, so
-  // core::to_json(ExperimentResult) excludes them alongside the fastpath.*
-  // cache counters.
-  Counter* frames_encoded;  ///< handshake/audit frames encoded
-  Counter* frames_decoded;  ///< handshake/audit frames decoded
+  // computed (frame codec traffic, heavy-HMAC chains run), not what it
+  // computed, so core::to_json(ExperimentResult) excludes them alongside the
+  // fastpath.* cache counters.
+  Counter* frames_encoded;       ///< handshake/audit frames encoded
+  Counter* frames_decoded;       ///< handshake/audit frames decoded
+  Counter* heavy_hmac_computed;  ///< distinct heavy-HMAC chains the audit batches ran
 
   // Message lifecycle.
   Counter* generated;

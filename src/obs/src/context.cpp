@@ -46,6 +46,7 @@ ProtocolCounters::ProtocolCounters(Registry& r)
       evictions(&r.counter("pom.evictions")),
       frames_encoded(&r.counter("g2g.frame.encoded")),
       frames_decoded(&r.counter("g2g.frame.decoded")),
+      heavy_hmac_computed(&r.counter("g2g.heavy_hmac.computed")),
       generated(&r.counter("msg.generated")),
       relays(&r.counter("msg.relayed")),
       deliveries(&r.counter("msg.delivered")),

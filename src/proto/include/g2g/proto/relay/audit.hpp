@@ -5,8 +5,11 @@
 // verification through Suite::verify_batch, storage-proof recomputation) and
 // the relay's response (present PoRs and/or a heavy-HMAC storage proof).
 // Both frames cross the session seam (Session::send/recv); every storage
-// proof of a contact, the relay's chain and the source's recompute, is queued
-// into one HeavyHmacBatch that runs after the challenge loop. The two former
+// proof of a contact, the relay's chain and the source's recompute, is added
+// to one HeavyHmacBatch that runs after the challenge loop. The batch computes
+// each distinct chain once, so an honest relay's proof and its recompute share
+// one digest while a stored copy that differs in any byte gets its own; both
+// sides are charged a heavy HMAC either way. The two former
 // copies of this loop in the epidemic and delegation nodes differed only in
 // how PoRs are presented (PresentMode) and in two delegation-only screens
 // (the host's begin_test / screen_pors hooks: destination lookup and the

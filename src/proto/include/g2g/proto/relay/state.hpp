@@ -50,8 +50,9 @@ struct TestResponse {
   /// only (the audit loop resets the arena before the next one).
   // g2g-lint: allow(view-escape) -- documented engine seam: decoded within the same challenge, before the reset
   BytesView stored_resp;
-  /// With stored_resp: the relay's heavy-HMAC chain in the caller's
-  /// HeavyHmacBatch, which carries the digest STORED_RESP leaves zero.
+  /// With stored_resp: the index of the relay's heavy-HMAC digest in the
+  /// caller's HeavyHmacBatch::run() result (the digest STORED_RESP leaves
+  /// zero). An equal job already queued shares its index.
   std::size_t stored_job = 0;
 };
 

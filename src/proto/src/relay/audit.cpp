@@ -14,11 +14,15 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
 
   // Two phases: the challenge loop queues every storage-proof chain of this
   // contact — the relay's proof and the source's recompute — into one
-  // HeavyHmacBatch, then the batch runs all chains in parallel SHA-256 lanes
-  // and the outcomes (pass / PoM) resolve afterwards. Deferring is invisible
-  // to the protocol: nothing between the challenge and its resolution reads
-  // the blacklist or the PoM log, and session byte accounting stays in
-  // challenge order.
+  // HeavyHmacBatch, then the batch runs its distinct chains in parallel
+  // SHA-256 lanes and the outcomes (pass / PoM) resolve afterwards. When the
+  // relay's stored copy is byte-equal to the source's, the batch hands both
+  // jobs one digest, the verdict a second run of the same deterministic chain
+  // would give; any differing byte keeps the jobs apart. Both sides are still
+  // charged a heavy HMAC (count_heavy_hmac). Deferring is invisible to the
+  // protocol: nothing between the challenge and its resolution reads the
+  // blacklist or the PoM log, and session byte accounting stays in challenge
+  // order.
   crypto::HeavyHmacBatch batch;
   struct PendingStorageCheck {
     std::size_t peer_job;    // the relay's deferred proof
@@ -162,6 +166,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
   }
 
   if (pending.empty()) return;
+  host_.counters().heavy_hmac_computed->add(batch.size());
   const std::vector<crypto::Digest> digests = batch.run();
   for (const PendingStorageCheck& c : pending) {
     if (crypto::digest_equal(digests[c.expect_job], digests[c.peer_job])) {

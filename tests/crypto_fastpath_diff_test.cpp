@@ -249,6 +249,51 @@ TEST(FastPathDiff, HeavyHmacBatchBuilderPreservesAddOrder) {
   EXPECT_TRUE(batch.empty());  // run() clears for reuse
 }
 
+TEST(FastPathDiff, HeavyHmacBatchComputesIdenticalJobsOnce) {
+  Rng rng(0xd3d0b);
+  const Bytes msg = random_bytes(rng, 200);
+  const Bytes seed = random_bytes(rng, 32);
+  constexpr std::uint32_t kIters = 12;
+  HeavyHmacBatch batch;
+  const std::size_t first = batch.add(msg, seed, kIters);
+  // A byte-identical job (separate buffers) shares the first job's digest.
+  const Bytes msg_copy = msg;
+  const Bytes seed_copy = seed;
+  EXPECT_EQ(batch.add(msg_copy, seed_copy, kIters), first);
+  EXPECT_EQ(batch.size(), 1u);
+
+  // Each near-duplicate is a job of its own.
+  Bytes msg_flipped = msg;
+  msg_flipped[117] ^= 0x01;
+  Bytes seed_flipped = seed;
+  seed_flipped[31] ^= 0x80;
+  Bytes msg_longer = msg;
+  msg_longer.push_back(0x00);
+  struct Job {
+    Bytes message;
+    Bytes seed;
+    std::uint32_t iterations;
+  };
+  const std::vector<Job> near = {{msg_flipped, seed, kIters},
+                                 {msg, seed_flipped, kIters},
+                                 {msg_longer, seed, kIters},
+                                 {msg, seed, kIters + 1}};
+  std::vector<std::size_t> index;
+  for (const Job& j : near) index.push_back(batch.add(j.message, j.seed, j.iterations));
+  for (std::size_t i = 0; i < near.size(); ++i) EXPECT_EQ(index[i], i + 1) << i;
+  EXPECT_EQ(batch.size(), 1 + near.size());
+
+  const std::vector<Digest> out = batch.run();
+  ASSERT_EQ(out.size(), 1 + near.size());
+  EXPECT_EQ(out[first], heavy_hmac_reference(msg, seed, kIters));
+  for (std::size_t i = 0; i < near.size(); ++i) {
+    EXPECT_EQ(out[index[i]], heavy_hmac_reference(near[i].message, near[i].seed,
+                                                  near[i].iterations))
+        << i;
+  }
+  EXPECT_TRUE(batch.empty());  // run() clears for reuse
+}
+
 // -- Schnorr: fixed-base tables and the engine --------------------------------
 
 TEST(FastPathDiff, FixedBaseTableMatchesPowMod) {

@@ -110,6 +110,30 @@ TEST(G2GDelegation, CheaterWithNoRelaysEscapesViaStorageProof) {
   EXPECT_TRUE(w.collector().detections().empty());
 }
 
+TEST(G2GDelegation, TamperedStoredCopyFailsStorageProof) {
+  // An honest relay with no takers answers with a storage proof; one
+  // ciphertext byte of its stored copy flips before the re-meet, so its
+  // proof and the source's recompute are two chains that disagree.
+  G2GDWorld w(build(5, {warm(1, 4, 2, 10),
+                        {{0, 1, 2000, 2010}, {0, 1, 2000 + kD1 + 60, 2000 + kD1 + 70}}}),
+              fast_frames());
+  w.send(0, 4, 1900);
+  w.network().simulator().at(TimePoint::from_seconds(3000.0), [&w] {
+    auto& holds = w.node(1).handshake().holds();
+    ASSERT_EQ(holds.size(), 1u);
+    ASSERT_TRUE(holds.begin()->second.has_msg);
+    holds.begin()->second.msg.box.ciphertext[0] ^= 0x01;
+  });
+  w.run();
+  ASSERT_EQ(w.collector().detections().size(), 1u);
+  EXPECT_EQ(w.collector().detections()[0].culprit, NodeId(1));
+  EXPECT_EQ(w.collector().detections()[0].method, metrics::DetectionMethod::TestBySender);
+  EXPECT_TRUE(w.collector().evictions().contains(NodeId(1)));
+  EXPECT_EQ(w.collector().costs(NodeId(1)).heavy_hmacs, 1u);
+  EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
+  EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 2u);
+}
+
 TEST(G2GDelegation, DropperCaughtBySenderTest) {
   G2GDWorld w(build(5, {warm(1, 4, 2, 10),
                         {{0, 1, 2000, 2010}, {0, 1, 2000 + kD1 + 60, 2000 + kD1 + 70}}}),

@@ -115,9 +115,33 @@ TEST(G2GEpidemic, HonestRelayWithoutRelaysPassesViaStorageProof) {
   w.send(0, 3, 50);
   w.run();
   EXPECT_TRUE(w.collector().detections().empty());
-  // Both sides computed the heavy HMAC (prover and verifier).
+  // Both sides are charged the heavy HMAC (prover and verifier)...
   EXPECT_EQ(w.collector().costs(NodeId(1)).heavy_hmacs, 1u);
   EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
+  // ...but the byte-identical proof and recompute run as one chain.
+  EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 1u);
+}
+
+TEST(G2GEpidemic, TamperedStoredCopyFailsStorageProof) {
+  // One ciphertext byte of node 1's stored copy flips between the relay
+  // contact and the re-meet: its proof and the source's recompute become two
+  // chains, the digests disagree and the source convicts.
+  G2GWorld w(make_trace(4, {{0, 1, 100, 110}, {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}));
+  w.send(0, 3, 50);
+  w.network().simulator().at(TimePoint::from_seconds(1000.0), [&w] {
+    auto& holds = w.node(1).handshake().holds();
+    ASSERT_EQ(holds.size(), 1u);
+    ASSERT_TRUE(holds.begin()->second.has_msg);
+    holds.begin()->second.msg.box.ciphertext[0] ^= 0x01;
+  });
+  w.run();
+  ASSERT_EQ(w.collector().detections().size(), 1u);
+  EXPECT_EQ(w.collector().detections()[0].culprit, NodeId(1));
+  EXPECT_EQ(w.collector().detections()[0].method, metrics::DetectionMethod::TestBySender);
+  EXPECT_TRUE(w.collector().evictions().contains(NodeId(1)));
+  EXPECT_EQ(w.collector().costs(NodeId(1)).heavy_hmacs, 1u);
+  EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
+  EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 2u);
 }
 
 TEST(G2GEpidemic, DropperCaughtOnReMeet) {

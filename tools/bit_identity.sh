@@ -7,6 +7,10 @@
 # table whose outcomes depend on the size and order of every wire charge, so
 # it catches accounting drift that the unlimited-contact figures cannot; the
 # mechanism ablation covers PoM dissemination by gossip vs instant broadcast.
+# Two traced g2gsim runs (G2G Epidemic vs 10 droppers, G2G Delegation
+# Last-Contact vs 10 cheaters) must also write byte-identical --trace-out
+# JSONL, compared by sha256: the event stream pins every storage challenge,
+# test verdict and PoM in order, which the tables only summarize.
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -19,6 +23,9 @@ jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 benches=(fig3_droppers_epidemic fig4_detection_g2g_epidemic fig5_deviations_delegation
          fig7_detection_g2g_delegation fig8_cost_tradeoff table1_delegation_detection
          ablation_bandwidth ablation_mechanisms)
+# name:g2gsim arguments, one traced run each
+traced=("epidemic_dropper:--protocol g2g-epidemic --deviation dropper --deviants 10"
+        "delegation_lc_cheater:--protocol g2g-delegation-lc --deviation cheater --deviants 10")
 
 base="${1:-}"
 if [[ -z "$base" ]]; then
@@ -47,11 +54,17 @@ trap 'rm -rf "$tmp"' EXIT
 build_and_run() {
   local src=$1 build=$2 out=$3
   cmake -B "$build" -S "$src" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$build" -j "$jobs" --target "${benches[@]}" >/dev/null
+  cmake --build "$build" -j "$jobs" --target "${benches[@]}" g2gsim >/dev/null
   mkdir -p "$out"
-  local b
+  local b t
   for b in "${benches[@]}"; do
     "$build/bench/$b" --quick >"$out/$b.txt"
+  done
+  for t in "${traced[@]}"; do
+    # shellcheck disable=SC2086  # the arguments are word-split on purpose
+    "$build/examples/g2gsim" ${t#*:} --trace-out "$out/${t%%:*}.jsonl" >/dev/null 2>&1
+    sha256sum <"$out/${t%%:*}.jsonl" >"$out/${t%%:*}.jsonl.sha256"
+    rm "$out/${t%%:*}.jsonl"
   done
 }
 
@@ -78,4 +91,4 @@ if [[ $fail -ne 0 ]]; then
   echo "bit-identity: FAILED — protocol output changed relative to $base"
   exit 1
 fi
-echo "bit-identity: ok — ${#benches[@]} benches identical"
+echo "bit-identity: ok — ${#benches[@]} benches and ${#traced[@]} traced runs identical"
