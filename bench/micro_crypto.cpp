@@ -248,23 +248,6 @@ void BM_HeavyHmacBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HeavyHmacBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// One storage challenge as AuditEngine::run queues it: the relay's proof and
-// the source's byte-identical recompute (separate buffers) into one
-// HeavyHmacBatch at paper-grade chain length. The batch computes the shared
-// chain once, so this times one chain, not two.
-void BM_HeavyHmacBatchProofAndRecompute(benchmark::State& state) {
-  const Bytes relay_copy(512, 0x11);
-  const Bytes source_copy = relay_copy;
-  const Bytes seed(32, 0xAB);
-  HeavyHmacBatch batch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.add(relay_copy, seed, 1024));
-    benchmark::DoNotOptimize(batch.add(source_copy, seed, 1024));
-    benchmark::DoNotOptimize(batch.run());
-  }
-}
-BENCHMARK(BM_HeavyHmacBatchProofAndRecompute);
-
 void BM_SealedBoxRoundTrip(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(5);

@@ -303,12 +303,12 @@ void BM_HandshakeRelayPass(benchmark::State& state) {
 }
 BENCHMARK(BM_HandshakeRelayPass);
 
-/// The relay side of one POR_RQST challenge: no PoRs to present, so every
-/// audit answers with a heavy-HMAC storage proof (paper-grade chain length),
-/// queued by AuditEngine::respond and computed by HeavyHmacBatch::run — one
-/// chain in one lane, as a contact with a single storage challenge runs it.
-/// micro_crypto's BM_HeavyHmacReference/1024 times the same chain on the
-/// reference implementation.
+/// One intact-copy storage challenge as AuditEngine::run decides it, at
+/// paper-grade chain length: the relay's response (no PoRs to present, so a
+/// STORED_RESP plus the stored copy it covers) and the source's decision
+/// against its own copy. The copies are byte-equal, so heavy_hmac_agree runs
+/// no chain; micro_crypto's BM_HeavyHmacReference/1024 times the chain a
+/// differing copy runs on each side.
 void BM_AuditStorageProof(benchmark::State& state) {
   RelayWorld world(/*heavy_iterations=*/1024);
   G2GEpidemicNode& src = world.net->node(NodeId(0));
@@ -320,13 +320,17 @@ void BM_AuditStorageProof(benchmark::State& state) {
   relay::PorRqstFrame challenge;
   challenge.h = world.h;
   challenge.seed.fill(0xAB);
-  crypto::HeavyHmacBatch batch;
+  const SealedMessage& own = src.handshake().holds().at(world.h).msg;
   AllocMeter allocs;
   for (auto _ : state) {
     Session s(*world.net, src, relay_node);
     s.arena().reset();  // one arena generation per challenge, as AuditEngine::run
-    benchmark::DoNotOptimize(relay_node.audit().respond(s, s.send(src, challenge), batch));
-    benchmark::DoNotOptimize(batch.run());
+    const relay::TestResponse resp = relay_node.audit().respond(s, s.send(src, challenge));
+    const auto proof = s.recv<relay::StoredRespFrame>(src, resp.stored_resp);
+    benchmark::DoNotOptimize(crypto::heavy_hmac_agree(
+        resp.stored_copy, BytesView(proof.seed.data(), proof.seed.size()),
+        arena_encode(s.arena(), own), BytesView(challenge.seed.data(), challenge.seed.size()),
+        world.net->config().node.heavy_hmac_iterations));
   }
   allocs.report(state);
   state.SetItemsProcessed(state.iterations());

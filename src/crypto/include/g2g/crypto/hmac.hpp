@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "g2g/crypto/sha256.hpp"
-#include "g2g/util/arena.hpp"
 #include "g2g/util/bytes.hpp"
 
 namespace g2g::crypto {
@@ -66,34 +65,28 @@ struct HeavyHmacJob {
 /// states, so independent chains run in lockstep through the multi-lane
 /// compressor (sha256_compress_multi) in groups of kSha256MaxLanes. Every
 /// digest is bit-identical to heavy_hmac / heavy_hmac_reference on the same
-/// inputs.
+/// inputs. The simulator decides storage proofs through heavy_hmac_agree;
+/// the batch serves the benchmark's chain-cost probe.
 [[nodiscard]] std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs);
-
-/// Owning collector for deferring heavy-HMAC chains discovered one at a time
-/// (the G2G audit loops queue every storage proof in a contact, then compute
-/// them all in parallel lanes). Each distinct job is computed once: add()
-/// returns the index of its digest in run()'s result, and a job whose
-/// iteration count, seed and message are byte-equal to one already queued
-/// gets that job's index and copies nothing. Anything else (one byte of
-/// message or seed, a length, the iteration count) makes a new job. add()
-/// copies a new job's inputs into a batch-owned arena whose chunks are
-/// recycled across run() cycles, so a warmed-up batch performs no
-/// per-challenge heap allocation; run() returns one digest per distinct job,
-/// then clears the queue and resets the arena.
-class HeavyHmacBatch {
- public:
-  std::size_t add(BytesView message, BytesView seed, std::uint32_t iterations);
-  [[nodiscard]] std::vector<Digest> run();
-  /// Distinct jobs queued (the chains run() will compute).
-  [[nodiscard]] std::size_t size() const { return jobs_.size(); }
-  [[nodiscard]] bool empty() const { return jobs_.empty(); }
-
- private:
-  Arena arena_;  ///< owns every queued message/seed until the next run()
-  std::vector<HeavyHmacJob> jobs_;
-};
 
 /// Constant-time digest comparison.
 [[nodiscard]] bool digest_equal(const Digest& a, const Digest& b);
+
+/// Outcome of heavy_hmac_agree: whether the two storage proofs agree, and
+/// how many heavy-HMAC chains deciding it ran (0 or 2).
+struct HeavyHmacAgreement {
+  bool agree = false;
+  std::uint32_t chains = 0;
+};
+
+/// Decide whether a prover's heavy HMAC over (message, seed) matches the
+/// verifier's over its own (message, seed), both at `iterations`. The chain
+/// is a pure function of its inputs, so byte-equal inputs agree without
+/// running it; any differing byte or length runs both chains through
+/// heavy_hmac and compares the digests, exactly as two computed proofs would.
+[[nodiscard]] HeavyHmacAgreement heavy_hmac_agree(BytesView prover_message, BytesView prover_seed,
+                                                  BytesView verifier_message,
+                                                  BytesView verifier_seed,
+                                                  std::uint32_t iterations);
 
 }  // namespace g2g::crypto

@@ -193,37 +193,22 @@ std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs) {
   return out;
 }
 
-std::size_t HeavyHmacBatch::add(BytesView message, BytesView seed, std::uint32_t iterations) {
-  // A byte-identical job is the same pure chain: hand back its digest slot.
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const HeavyHmacJob& q = jobs_[j];
-    if (q.iterations == iterations && std::ranges::equal(q.seed, seed) &&
-        std::ranges::equal(q.message, message)) {
-      return j;
-    }
-  }
-  const auto own = [this](BytesView v) {
-    const std::span<std::uint8_t> dst = arena_.alloc(v.size());
-    std::copy(v.begin(), v.end(), dst.begin());
-    return BytesView(dst.data(), dst.size());
-  };
-  jobs_.push_back(HeavyHmacJob{own(message), own(seed), iterations});
-  return jobs_.size() - 1;
-}
-
-std::vector<Digest> HeavyHmacBatch::run() {
-  std::vector<Digest> out = heavy_hmac_batch(jobs_);
-  // The queue drains before the arena resets: the job views point into the
-  // arena, and must not survive it.
-  jobs_.clear();
-  arena_.reset();
-  return out;
-}
-
 bool digest_equal(const Digest& a, const Digest& b) {
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < a.size(); ++i) diff |= static_cast<std::uint8_t>(a[i] ^ b[i]);
   return diff == 0;
+}
+
+HeavyHmacAgreement heavy_hmac_agree(BytesView prover_message, BytesView prover_seed,
+                                    BytesView verifier_message, BytesView verifier_seed,
+                                    std::uint32_t iterations) {
+  if (std::ranges::equal(prover_message, verifier_message) &&
+      std::ranges::equal(prover_seed, verifier_seed)) {
+    return {true, 0};
+  }
+  return {digest_equal(heavy_hmac(prover_message, prover_seed, iterations),
+                       heavy_hmac(verifier_message, verifier_seed, iterations)),
+          2};
 }
 
 }  // namespace g2g::crypto

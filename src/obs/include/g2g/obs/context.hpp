@@ -78,7 +78,7 @@ struct ProtocolCounters {
   // fastpath.* cache counters.
   Counter* frames_encoded;       ///< handshake/audit frames encoded
   Counter* frames_decoded;       ///< handshake/audit frames decoded
-  Counter* heavy_hmac_computed;  ///< distinct heavy-HMAC chains the audit batches ran
+  Counter* heavy_hmac_computed;  ///< heavy-HMAC chains storage-proof decisions ran
 
   // Message lifecycle.
   Counter* generated;

@@ -4,12 +4,11 @@
 // the audit: the source's challenge loop (POR_RQST frames, PoR batch
 // verification through Suite::verify_batch, storage-proof recomputation) and
 // the relay's response (present PoRs and/or a heavy-HMAC storage proof).
-// Both frames cross the session seam (Session::send/recv); every storage
-// proof of a contact, the relay's chain and the source's recompute, is added
-// to one HeavyHmacBatch that runs after the challenge loop. The batch computes
-// each distinct chain once, so an honest relay's proof and its recompute share
-// one digest while a stored copy that differs in any byte gets its own; both
-// sides are charged a heavy HMAC either way. The two former
+// Both frames cross the session seam (Session::send/recv). The source decides
+// a storage proof at challenge time with crypto::heavy_hmac_agree: an honest
+// relay's stored copy is byte-equal to the source's and agrees without
+// running the chain, while a copy that differs in any byte runs both chains;
+// both sides are charged a heavy HMAC either way. The two former
 // copies of this loop in the epidemic and delegation nodes differed only in
 // how PoRs are presented (PresentMode) and in two delegation-only screens
 // (the host's begin_test / screen_pors hooks: destination lookup and the
@@ -19,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "g2g/crypto/hmac.hpp"
 #include "g2g/proto/relay/state.hpp"
 
 namespace g2g::proto {
@@ -51,21 +49,21 @@ class AuditEngine {
   /// Source side: challenge `peer` for every due pending test.
   void run(Session& s, RelayNode& peer);
 
-  /// Relay side: answer the POR_RQST frame `rqst`. A storage proof is queued
-  /// into `batch` (TestResponse::stored_job) and announced by a STORED_RESP
-  /// frame whose digest the batch supplies; all byte accounting, counters,
-  /// and trace events happen at challenge time.
-  [[nodiscard]] TestResponse respond(Session& s, BytesView rqst, crypto::HeavyHmacBatch& batch);
+  /// Relay side: answer the POR_RQST frame `rqst`. A storage proof is a
+  /// STORED_RESP frame plus the stored copy it covers
+  /// (TestResponse::stored_copy), which the challenger checks against its
+  /// own; all byte accounting, counters, and trace events happen at
+  /// challenge time.
+  [[nodiscard]] TestResponse respond(Session& s, BytesView rqst);
 
   [[nodiscard]] std::vector<PendingTest>& tests() { return tests_; }
   [[nodiscard]] const std::vector<PendingTest>& tests() const { return tests_; }
   [[nodiscard]] std::size_t pending_count() const;
 
  private:
-  /// The storage-proof leg of respond(): queue the heavy HMAC into `batch`,
-  /// send STORED_RESP.
-  void storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq, TestResponse& resp,
-                     crypto::HeavyHmacBatch& batch);
+  /// The storage-proof leg of respond(): charge the heavy HMAC, hand over
+  /// the stored copy, send STORED_RESP.
+  void storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq, TestResponse& resp);
 
   RelayNode& host_;
   PresentMode mode_;

@@ -132,8 +132,9 @@ struct PorRqstFrame {
 
 /// Audit storage proof: the heavy HMAC digest over (m, seed). The relay sends
 /// it at challenge time with the digest left zero — a placeholder, like
-/// KeyRevealFrame's key bytes: the real digest comes out of the contact's
-/// HeavyHmacBatch lane, which the challenger resolves after the batch runs.
+/// KeyRevealFrame's key bytes: the challenger decides the proof from the
+/// relay's stored copy and the echoed h and seed (crypto::heavy_hmac_agree),
+/// which runs the chains only when the copy or the seed differs from its own.
 struct StoredRespFrame {
   static constexpr obs::WireKind kWireKind = obs::WireKind::StoredResp;
   static constexpr bool kControlSigned = true;

@@ -50,10 +50,11 @@ struct TestResponse {
   /// only (the audit loop resets the arena before the next one).
   // g2g-lint: allow(view-escape) -- documented engine seam: decoded within the same challenge, before the reset
   BytesView stored_resp;
-  /// With stored_resp: the index of the relay's heavy-HMAC digest in the
-  /// caller's HeavyHmacBatch::run() result (the digest STORED_RESP leaves
-  /// zero). An equal job already queued shares its index.
-  std::size_t stored_job = 0;
+  /// With stored_resp: the encoded copy of m the relay's heavy HMAC covers,
+  /// which the challenger decides against its own copy. A view into the
+  /// session arena with the same lifetime as stored_resp.
+  // g2g-lint: allow(view-escape) -- documented engine seam: decided within the same challenge, before the reset
+  BytesView stored_copy;
 };
 
 /// What a policy-specific relay attempt hands back to the shared handshake

@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 
+#include "g2g/crypto/hmac.hpp"
 #include "g2g/proto/relay/frames.hpp"
 #include "g2g/proto/relay/relay_node.hpp"
 
@@ -12,26 +13,21 @@ namespace g2g::proto::relay {
 void AuditEngine::run(Session& s, RelayNode& peer) {
   const TimePoint now = s.now();
 
-  // Two phases: the challenge loop queues every storage-proof chain of this
-  // contact — the relay's proof and the source's recompute — into one
-  // HeavyHmacBatch, then the batch runs its distinct chains in parallel
-  // SHA-256 lanes and the outcomes (pass / PoM) resolve afterwards. When the
-  // relay's stored copy is byte-equal to the source's, the batch hands both
-  // jobs one digest, the verdict a second run of the same deterministic chain
-  // would give; any differing byte keeps the jobs apart. Both sides are still
-  // charged a heavy HMAC (count_heavy_hmac). Deferring is invisible to the
-  // protocol: nothing between the challenge and its resolution reads the
-  // blacklist or the PoM log, and session byte accounting stays in challenge
-  // order.
-  crypto::HeavyHmacBatch batch;
+  // Two phases: the challenge loop decides every storage proof of this
+  // contact as it arrives (heavy_hmac_agree: a stored copy and seed
+  // byte-equal to the source's agree without running the chain, any
+  // differing byte runs both chains), and the outcomes (pass / PoM) resolve
+  // after the loop. Both sides are still charged a heavy HMAC
+  // (count_heavy_hmac). Deferring is invisible to the protocol: nothing
+  // between the challenge and its resolution reads the blacklist or the PoM
+  // log, and session byte accounting stays in challenge order.
   struct PendingStorageCheck {
-    std::size_t peer_job;    // the relay's deferred proof
-    std::size_t expect_job;  // the source's recompute of the same chain
+    bool passed;
     NodeId relay;
     std::uint64_t ref;
-    ProofOfRelay por;  // evidence if the digests disagree
+    ProofOfRelay por;  // evidence if the proof fails
     TimePoint relayed_at;
-    std::uint64_t span;  // audit_round span, closed when the batch resolves
+    std::uint64_t span;  // audit_round span, closed when the check resolves
   };
   std::vector<PendingStorageCheck> pending;
   obs::Tracer& tracer = host_.env_.obs().tracer;
@@ -83,11 +79,13 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
         challenge.seed[i * 8 + j] = static_cast<std::uint8_t>(word >> (8 * j));
       }
     }
-    const TestResponse resp = peer.audit().respond(s, s.send(host_, challenge), batch);
+    const TestResponse resp = peer.audit().respond(s, s.send(host_, challenge));
     const bool stored = !resp.stored_resp.empty();
-    // STORED_RESP arrives with the response; its digest field is the
-    // placeholder the batch lane fills (see StoredRespFrame).
-    if (stored) (void)s.recv<StoredRespFrame>(host_, resp.stored_resp);
+    // STORED_RESP arrives with the response; the proof binds to the message
+    // and seed it echoes (its digest field is a placeholder, see
+    // StoredRespFrame).
+    StoredRespFrame proof;
+    if (stored) proof = s.recv<StoredRespFrame>(host_, resp.stored_resp);
 
     if (!host_.screen_pors(t, resp.pors, real_dst, now)) {
       // The policy screen failed the test outright (Delegation: the chain
@@ -150,26 +148,29 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
         continue;  // source can no longer verify; give the benefit of the doubt
       }
       host_.count_heavy_hmac();
-      // The batch copies both inputs into its own arena, so the encode can
-      // live in the session arena's current generation.
-      const std::size_t expect_job =
-          batch.add(arena_encode(s.arena(), it->second.msg),
-                    BytesView(challenge.seed.data(), challenge.seed.size()),
-                    host_.config().heavy_hmac_iterations);
-      pending.push_back(PendingStorageCheck{resp.stored_job, expect_job, peer.id(), ref, t.por,
-                                            t.relayed_at, span});
-      continue;  // outcome resolves after the batch runs
+      // Both copies live in the session arena's current generation, which
+      // lasts until the next challenge's reset.
+      bool passed = false;
+      if (proof.h == t.h) {
+        const crypto::HeavyHmacAgreement verdict = crypto::heavy_hmac_agree(
+            resp.stored_copy, BytesView(proof.seed.data(), proof.seed.size()),
+            arena_encode(s.arena(), it->second.msg),
+            BytesView(challenge.seed.data(), challenge.seed.size()),
+            host_.config().heavy_hmac_iterations);
+        host_.counters().heavy_hmac_computed->add(verdict.chains);
+        passed = verdict.agree;
+      }
+      pending.push_back(
+          PendingStorageCheck{passed, peer.id(), ref, t.por, t.relayed_at, span});
+      continue;  // outcome resolves after the challenge loop
     }
 
     // Neither: the relay failed the test.
     fail(peer.id(), ref, t.por, t.relayed_at, span);
   }
 
-  if (pending.empty()) return;
-  host_.counters().heavy_hmac_computed->add(batch.size());
-  const std::vector<crypto::Digest> digests = batch.run();
   for (const PendingStorageCheck& c : pending) {
-    if (crypto::digest_equal(digests[c.expect_job], digests[c.peer_job])) {
+    if (c.passed) {
       host_.counters().tests_passed->add();
       host_.trace_event(obs::EventKind::TestBySender, c.relay, c.ref, 2);
       tracer.close_span(now, c.span, 2);
@@ -179,7 +180,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
   }
 }
 
-TestResponse AuditEngine::respond(Session& s, BytesView rqst, crypto::HeavyHmacBatch& batch) {
+TestResponse AuditEngine::respond(Session& s, BytesView rqst) {
   const PorRqstFrame rq = s.recv<PorRqstFrame>(host_, rqst);
   TestResponse resp;
   auto& holds = host_.handshake().holds();
@@ -196,7 +197,7 @@ TestResponse AuditEngine::respond(Session& s, BytesView rqst, crypto::HeavyHmacB
     resp.pors = hold.pors;
     for (const auto& por : resp.pors) s.transfer(host_, por.wire_size(), obs::WireKind::Por);
     if (hold.pors.size() < host_.config().relay_fanout && hold.has_msg) {
-      storage_proof(s, hold, rq, resp, batch);
+      storage_proof(s, hold, rq, resp);
     }
     return resp;
   }
@@ -209,23 +210,21 @@ TestResponse AuditEngine::respond(Session& s, BytesView rqst, crypto::HeavyHmacB
   }
   if (hold.has_msg) {
     resp.pors = hold.pors;  // show what we have (0 or 1)
-    storage_proof(s, hold, rq, resp, batch);
+    storage_proof(s, hold, rq, resp);
     return resp;
   }
   return resp;  // dropper: no PoRs, no message
 }
 
 void AuditEngine::storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq,
-                                TestResponse& resp, crypto::HeavyHmacBatch& batch) {
+                                TestResponse& resp) {
   host_.count_heavy_hmac();
   host_.counters().storage_challenges->add();
   host_.trace_event(obs::EventKind::StorageChallenge, s.peer_of(host_).id(),
                     host_.env_.msg_ref(rq.h), host_.config().heavy_hmac_iterations);
-  // The batch copies both inputs into its own arena, so the encode can live
-  // in the session arena's current generation.
-  resp.stored_job = batch.add(arena_encode(s.arena(), hold.msg),
-                              BytesView(rq.seed.data(), rq.seed.size()),
-                              host_.config().heavy_hmac_iterations);
+  // The stored copy the proof covers, handed to the challenger in the
+  // session arena's current generation (valid until the next challenge).
+  resp.stored_copy = arena_encode(s.arena(), hold.msg);
   StoredRespFrame frame;
   frame.h = rq.h;
   frame.seed = rq.seed;

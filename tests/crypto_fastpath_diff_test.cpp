@@ -2,7 +2,8 @@
 // oracle. The accelerated code is the only runtime path; each test calls it
 // and its reference side by side: SHA-NI/AVX2 compression against the
 // kScalar backend, the precomputed-pad heavy HMAC chain and its multi-lane
-// batch against heavy_hmac_reference, the Montgomery kernels, fixed-base
+// batch against heavy_hmac_reference, the storage-proof decision
+// heavy_hmac_agree against two reference digests, the Montgomery kernels, fixed-base
 // tables and multi_exp against the schoolbook mod/mul_mod/pow_mod, the
 // SchnorrEngine against the free schnorr_* functions, and the verification
 // cache against its inner suite. Golden vectors anchor both sides to the
@@ -227,71 +228,47 @@ TEST(FastPathDiff, HeavyHmacBatchMatchesReferencePerJob) {
   }
 }
 
-TEST(FastPathDiff, HeavyHmacBatchBuilderPreservesAddOrder) {
-  Rng rng(0x0b7a1a);
-  HeavyHmacBatch batch;
-  EXPECT_TRUE(batch.empty());
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> seeds;
-  for (std::size_t j = 0; j < 5; ++j) {
-    msgs.push_back(random_bytes(rng, 64 + j));
-    seeds.push_back(random_bytes(rng, 16));
-    EXPECT_EQ(batch.add(msgs[j], seeds[j], 10 + static_cast<std::uint32_t>(j)), j);
-  }
-  EXPECT_EQ(batch.size(), 5u);
-  const std::vector<Digest> out = batch.run();
-  ASSERT_EQ(out.size(), 5u);
-  for (std::size_t j = 0; j < 5; ++j) {
-    EXPECT_EQ(out[j],
-              heavy_hmac_reference(msgs[j], seeds[j], 10 + static_cast<std::uint32_t>(j)))
-        << j;
-  }
-  EXPECT_TRUE(batch.empty());  // run() clears for reuse
-}
-
-TEST(FastPathDiff, HeavyHmacBatchComputesIdenticalJobsOnce) {
+TEST(FastPathDiff, HeavyHmacAgreeEqualInputsRunNoChain) {
   Rng rng(0xd3d0b);
   const Bytes msg = random_bytes(rng, 200);
   const Bytes seed = random_bytes(rng, 32);
-  constexpr std::uint32_t kIters = 12;
-  HeavyHmacBatch batch;
-  const std::size_t first = batch.add(msg, seed, kIters);
-  // A byte-identical job (separate buffers) shares the first job's digest.
+  // Byte-equal copies in separate buffers, as the relay's and the source's.
   const Bytes msg_copy = msg;
   const Bytes seed_copy = seed;
-  EXPECT_EQ(batch.add(msg_copy, seed_copy, kIters), first);
-  EXPECT_EQ(batch.size(), 1u);
+  const HeavyHmacAgreement v = heavy_hmac_agree(msg_copy, seed_copy, msg, seed, 1024);
+  EXPECT_TRUE(v.agree);
+  EXPECT_EQ(v.chains, 0u);
+}
 
-  // Each near-duplicate is a job of its own.
+TEST(FastPathDiff, HeavyHmacAgreeDifferingInputsMatchReference) {
+  // Each near-duplicate of the verifier's (message, seed) runs both chains
+  // and decides exactly as two reference digests compare.
+  Rng rng(0x5eedf1);
+  const Bytes msg = random_bytes(rng, 200);
+  const Bytes seed = random_bytes(rng, 32);
+  constexpr std::uint32_t kIters = 12;
   Bytes msg_flipped = msg;
   msg_flipped[117] ^= 0x01;
   Bytes seed_flipped = seed;
   seed_flipped[31] ^= 0x80;
   Bytes msg_longer = msg;
   msg_longer.push_back(0x00);
-  struct Job {
+  struct Case {
+    const char* name;
     Bytes message;
     Bytes seed;
-    std::uint32_t iterations;
   };
-  const std::vector<Job> near = {{msg_flipped, seed, kIters},
-                                 {msg, seed_flipped, kIters},
-                                 {msg_longer, seed, kIters},
-                                 {msg, seed, kIters + 1}};
-  std::vector<std::size_t> index;
-  for (const Job& j : near) index.push_back(batch.add(j.message, j.seed, j.iterations));
-  for (std::size_t i = 0; i < near.size(); ++i) EXPECT_EQ(index[i], i + 1) << i;
-  EXPECT_EQ(batch.size(), 1 + near.size());
-
-  const std::vector<Digest> out = batch.run();
-  ASSERT_EQ(out.size(), 1 + near.size());
-  EXPECT_EQ(out[first], heavy_hmac_reference(msg, seed, kIters));
-  for (std::size_t i = 0; i < near.size(); ++i) {
-    EXPECT_EQ(out[index[i]], heavy_hmac_reference(near[i].message, near[i].seed,
-                                                  near[i].iterations))
-        << i;
+  const std::vector<Case> cases = {{"message byte flipped", msg_flipped, seed},
+                                   {"seed byte flipped", msg, seed_flipped},
+                                   {"message one byte longer", msg_longer, seed}};
+  for (const Case& c : cases) {
+    const HeavyHmacAgreement v = heavy_hmac_agree(c.message, c.seed, msg, seed, kIters);
+    EXPECT_EQ(v.agree, digest_equal(heavy_hmac_reference(c.message, c.seed, kIters),
+                                    heavy_hmac_reference(msg, seed, kIters)))
+        << c.name;
+    EXPECT_FALSE(v.agree) << c.name;
+    EXPECT_EQ(v.chains, 2u) << c.name;
   }
-  EXPECT_TRUE(batch.empty());  // run() clears for reuse
 }
 
 // -- Schnorr: fixed-base tables and the engine --------------------------------

@@ -110,10 +110,12 @@ TEST(G2GDelegation, CheaterWithNoRelaysEscapesViaStorageProof) {
   EXPECT_TRUE(w.collector().detections().empty());
 }
 
-TEST(G2GDelegation, TamperedStoredCopyFailsStorageProof) {
-  // An honest relay with no takers answers with a storage proof; one
-  // ciphertext byte of its stored copy flips before the re-meet, so its
-  // proof and the source's recompute are two chains that disagree.
+class G2GDelegationTamper : public ::testing::TestWithParam<testutil::StoredCopyEdit> {};
+
+TEST_P(G2GDelegationTamper, TamperedStoredCopyFailsStorageProof) {
+  // An honest relay with no takers answers with a storage proof; its stored
+  // copy is edited before the re-meet, so it no longer equals the source's
+  // and the two chains it runs disagree.
   G2GDWorld w(build(5, {warm(1, 4, 2, 10),
                         {{0, 1, 2000, 2010}, {0, 1, 2000 + kD1 + 60, 2000 + kD1 + 70}}}),
               fast_frames());
@@ -122,7 +124,7 @@ TEST(G2GDelegation, TamperedStoredCopyFailsStorageProof) {
     auto& holds = w.node(1).handshake().holds();
     ASSERT_EQ(holds.size(), 1u);
     ASSERT_TRUE(holds.begin()->second.has_msg);
-    holds.begin()->second.msg.box.ciphertext[0] ^= 0x01;
+    GetParam().apply(holds.begin()->second.msg.box.ciphertext);
   });
   w.run();
   ASSERT_EQ(w.collector().detections().size(), 1u);
@@ -133,6 +135,10 @@ TEST(G2GDelegation, TamperedStoredCopyFailsStorageProof) {
   EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
   EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(StoredCopyEdits, G2GDelegationTamper,
+                         ::testing::ValuesIn(testutil::stored_copy_edits()),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(G2GDelegation, DropperCaughtBySenderTest) {
   G2GDWorld w(build(5, {warm(1, 4, 2, 10),

@@ -118,21 +118,23 @@ TEST(G2GEpidemic, HonestRelayWithoutRelaysPassesViaStorageProof) {
   // Both sides are charged the heavy HMAC (prover and verifier)...
   EXPECT_EQ(w.collector().costs(NodeId(1)).heavy_hmacs, 1u);
   EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
-  // ...but the byte-identical proof and recompute run as one chain.
-  EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 1u);
+  // ...but a stored copy byte-equal to the source's agrees without a chain.
+  EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 0u);
 }
 
-TEST(G2GEpidemic, TamperedStoredCopyFailsStorageProof) {
-  // One ciphertext byte of node 1's stored copy flips between the relay
-  // contact and the re-meet: its proof and the source's recompute become two
-  // chains, the digests disagree and the source convicts.
+class G2GEpidemicTamper : public ::testing::TestWithParam<testutil::StoredCopyEdit> {};
+
+TEST_P(G2GEpidemicTamper, TamperedStoredCopyFailsStorageProof) {
+  // Node 1's stored copy is edited between the relay contact and the
+  // re-meet: it no longer equals the source's, so both chains run, the
+  // digests disagree and the source convicts.
   G2GWorld w(make_trace(4, {{0, 1, 100, 110}, {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}));
   w.send(0, 3, 50);
   w.network().simulator().at(TimePoint::from_seconds(1000.0), [&w] {
     auto& holds = w.node(1).handshake().holds();
     ASSERT_EQ(holds.size(), 1u);
     ASSERT_TRUE(holds.begin()->second.has_msg);
-    holds.begin()->second.msg.box.ciphertext[0] ^= 0x01;
+    GetParam().apply(holds.begin()->second.msg.box.ciphertext);
   });
   w.run();
   ASSERT_EQ(w.collector().detections().size(), 1u);
@@ -143,6 +145,10 @@ TEST(G2GEpidemic, TamperedStoredCopyFailsStorageProof) {
   EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
   EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(StoredCopyEdits, G2GEpidemicTamper,
+                         ::testing::ValuesIn(testutil::stored_copy_edits()),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(G2GEpidemic, DropperCaughtOnReMeet) {
   G2GWorld w(make_trace(4, {{0, 1, 100, 110}, {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}),

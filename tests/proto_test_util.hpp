@@ -5,6 +5,8 @@
 
 #include <initializer_list>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "g2g/metrics/collector.hpp"
@@ -86,5 +88,23 @@ class World {
   std::unique_ptr<Network<NodeT>> network_;
   std::uint64_t next_id_ = 1;
 };
+
+/// One edit of a relay's held ciphertext between the relay contact and the
+/// audit, for the tampered storage-proof tests: each must make the stored
+/// copy differ from the source's, so the proof fails.
+struct StoredCopyEdit {
+  std::string name;
+  void (*apply)(Bytes& ciphertext);
+};
+
+// gtest prints a parameter in the test list; the name keeps it stable.
+inline void PrintTo(const StoredCopyEdit& e, std::ostream* os) { *os << e.name; }
+
+inline std::vector<StoredCopyEdit> stored_copy_edits() {
+  return {{"FlipFirstByte", [](Bytes& c) { c.front() ^= 0x01; }},
+          {"FlipLastByte", [](Bytes& c) { c.back() ^= 0x80; }},
+          {"AppendByte", [](Bytes& c) { c.push_back(0x00); }},
+          {"DropByte", [](Bytes& c) { c.pop_back(); }}};
+}
 
 }  // namespace g2g::proto::testutil

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Bit-identity gate for protocol refactors. The relay-core contract is that
 # restructuring never changes protocol behaviour: one --quick run of every
-# figure and table bench (fig3, fig4, fig5, fig7, fig8, table1 and both
-# ablations) must produce byte-identical tables at HEAD and at the base
-# revision. The bandwidth ablation's byte-budgeted contacts make it the one
-# table whose outcomes depend on the size and order of every wire charge, so
-# it catches accounting drift that the unlimited-contact figures cannot; the
-# mechanism ablation covers PoM dissemination by gossip vs instant broadcast.
+# figure and table bench (fig3, fig4, fig5, fig7, fig8, table1, both
+# ablations and the hoarder extension) must produce byte-identical tables at
+# HEAD and at the base revision. The bandwidth ablation's byte-budgeted
+# contacts make it the one table whose outcomes depend on the size and order
+# of every wire charge, so it catches accounting drift that the
+# unlimited-contact figures cannot; the mechanism ablation covers PoM
+# dissemination by gossip vs instant broadcast. Hoarders pass every test by
+# storage proof, so ext_hoarders' heavy-HMAC bill pins the energy model's
+# two-sided charge for every proof, however the simulator decides it.
 # Two traced g2gsim runs (G2G Epidemic vs 10 droppers, G2G Delegation
 # Last-Contact vs 10 cheaters) must also write byte-identical --trace-out
 # JSONL, compared by sha256: the event stream pins every storage challenge,
@@ -22,7 +25,7 @@ jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
 benches=(fig3_droppers_epidemic fig4_detection_g2g_epidemic fig5_deviations_delegation
          fig7_detection_g2g_delegation fig8_cost_tradeoff table1_delegation_detection
-         ablation_bandwidth ablation_mechanisms)
+         ablation_bandwidth ablation_mechanisms ext_hoarders)
 # name:g2gsim arguments, one traced run each
 traced=("epidemic_dropper:--protocol g2g-epidemic --deviation dropper --deviants 10"
         "delegation_lc_cheater:--protocol g2g-delegation-lc --deviation cheater --deviants 10")
