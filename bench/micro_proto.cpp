@@ -270,12 +270,12 @@ struct RelayWorld {
     cfg.horizon = TimePoint::from_seconds(4.0 * 3600.0);
     net = std::make_unique<Network<G2GEpidemicNode>>(trace, std::move(cfg),
                                                      std::vector<BehaviorConfig>{}, collector);
-    Rng rng(17);
-    G2GEpidemicNode& src = net->node(NodeId(0));
-    const SealedMessage m = make_message(src.identity(), net->roster().get(NodeId(kTakers + 1)),
-                                         MessageId(1), Bytes(64, 0x42), rng);
-    h = m.hash();
-    src.generate(m);
+    // The network generates (and interns) the message at t=0; the padding
+    // contact lies past the horizon, so this run fires only that event.
+    net->schedule_traffic(
+        {sim::TrafficDemand{MessageId(1), NodeId(0), NodeId(kTakers + 1), TimePoint::zero(), 64}});
+    net->simulator().run();
+    h = net->node(NodeId(0)).handshake().holds().begin()->first;
   }
 };
 

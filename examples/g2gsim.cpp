@@ -183,9 +183,11 @@ int main(int argc, char** argv) {
 
   if (opt.obs) {
     // Counters and stage times of the final run (seed = seed + runs - 1).
+    // Every registered counter is listed, zeros included, so a counter that
+    // reads 0 is told apart from one that does not exist.
     Table counters({"counter", "value"});
     for (const auto& [name, counter] : last.counters.counters()) {
-      if (counter.value() > 0) counters.add_row({name, std::to_string(counter.value())});
+      counters.add_row({name, std::to_string(counter.value())});
     }
     Table stages({"stage", "seconds"});
     for (const auto& stage : last.stages.stages()) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -64,12 +65,20 @@ class Collector {
   void attach_obs(obs::ObsContext* obs) { obs_ = obs; }
 
   // -- message lifecycle -----------------------------------------------------
+  /// Message ids are the dense per-run ids traffic assigns (1..N): records
+  /// live in a vector indexed by id. Relaying or delivering an id that was
+  /// never generated throws std::logic_error.
   void message_generated(MessageId id, NodeId src, NodeId dst, TimePoint at);
   void message_relayed(MessageId id, NodeId from, NodeId to, TimePoint at);
   void message_delivered(MessageId id, TimePoint at);
 
   // -- node accounting -------------------------------------------------------
-  [[nodiscard]] NodeCosts& costs(NodeId n);
+  /// Indexed by NodeId; the mutable overload grows the table on first use,
+  /// the const one reads zeros for a node never charged.
+  [[nodiscard]] NodeCosts& costs(NodeId n) {
+    if (n.value() >= costs_.size()) costs_.resize(std::size_t{n.value()} + 1);
+    return costs_[n.value()];
+  }
   [[nodiscard]] const NodeCosts& costs(NodeId n) const;
 
   // -- misbehaviour ----------------------------------------------------------
@@ -77,7 +86,7 @@ class Collector {
   void node_evicted(NodeId n, TimePoint at);
 
   // -- results ---------------------------------------------------------------
-  [[nodiscard]] std::size_t generated_count() const { return messages_.size(); }
+  [[nodiscard]] std::size_t generated_count() const { return generated_; }
   [[nodiscard]] std::size_t delivered_count() const;
   [[nodiscard]] double success_rate() const;
   /// Delays of delivered messages, seconds.
@@ -93,6 +102,7 @@ class Collector {
   [[nodiscard]] std::uint64_t total_relays() const { return total_relays_; }
 
   struct MessageRecord {
+    MessageId id;  ///< invalid() marks an id slot no message was generated for
     NodeId src;
     NodeId dst;
     TimePoint created;
@@ -102,13 +112,21 @@ class Collector {
     /// drives the per-hop delay histogram.
     TimePoint last_hop;
   };
-  [[nodiscard]] const std::map<MessageId, MessageRecord>& messages() const {
-    return messages_;
+  /// Every generated message's record, in id order.
+  [[nodiscard]] auto messages() const {
+    return std::views::filter(messages_, [](const MessageRecord& r) { return r.id.valid(); });
   }
+  /// The record of `id`, or nullptr if no such message was generated.
+  [[nodiscard]] const MessageRecord* find_message(MessageId id) const;
+  /// The record of `id`; throws std::out_of_range if it was never generated.
+  [[nodiscard]] const MessageRecord& message(MessageId id) const;
 
  private:
-  std::map<MessageId, MessageRecord> messages_;
-  std::map<NodeId, NodeCosts> costs_;
+  [[nodiscard]] MessageRecord* find_record(MessageId id);
+
+  std::vector<MessageRecord> messages_;  // indexed by MessageId
+  std::size_t generated_ = 0;
+  std::vector<NodeCosts> costs_;         // indexed by NodeId
   std::vector<DetectionEvent> detections_;
   std::map<NodeId, TimePoint> evictions_;
   std::uint64_t total_relays_ = 0;

@@ -74,7 +74,7 @@ struct Event {
   EventKind kind = EventKind::ContactUp;
   NodeId a;                           ///< primary actor
   NodeId b;                           ///< counterparty (may be invalid())
-  std::uint64_t ref = 0;              ///< message reference (id, or folded hash)
+  std::uint64_t ref = 0;              ///< message reference (per-run MessageId)
   std::int64_t value = 0;             ///< kind-specific payload (see above)
 };
 

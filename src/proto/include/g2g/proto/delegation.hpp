@@ -10,7 +10,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "g2g/proto/node.hpp"
 #include "g2g/proto/quality.hpp"
@@ -22,7 +21,8 @@ class DelegationNode final : public ProtocolNode {
   DelegationNode(Env& env, crypto::NodeIdentity identity, NodeConfig config,
                  BehaviorConfig behavior);
 
-  void generate(const SealedMessage& m);
+  /// Inject a locally-generated message; `id` is its dense per-run id.
+  void generate(const SealedMessage& m, MessageId id);
   static void run_contact(Session& s, DelegationNode& x, DelegationNode& y);
 
   void note_encounter(NodeId peer, TimePoint t) override;
@@ -39,21 +39,25 @@ class DelegationNode final : public ProtocolNode {
  private:
   struct Entry {
     SealedMessage msg;
+    MessageId id;
     double fm = 0.0;
     TimePoint expires;
     std::size_t bytes = 0;
   };
 
   void offer_all(Session& s, DelegationNode& taker);
-  void receive(Session& s, DelegationNode& giver, const SealedMessage& m, double fm,
-               TimePoint expires);
+  /// Take a copy of the giver's entry for H(m) = `h` (its f_m already
+  /// relabelled by the giver).
+  void receive(Session& s, DelegationNode& giver, const MessageHash& h, const Entry& e);
   void purge(TimePoint now);
   /// Finite-buffer extension: evict entries closest to expiry when over cap.
   void enforce_buffer_cap();
 
+  /// Offered in hash order: with byte-budgeted contacts the order decides
+  /// which messages cross, so it stays the summary-vector order.
   std::map<MessageHash, Entry> buffer_;
-  std::set<MessageHash> seen_;
-  std::set<MessageHash> mine_;  // messages this node originated
+  MessageIdSet seen_;
+  MessageIdSet mine_;  // messages this node originated
   EncounterTable table_;
 };
 

@@ -6,8 +6,9 @@
 // NetworkBase.
 #pragma once
 
-#include <map>
+#include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "g2g/community/kclique.hpp"
@@ -67,9 +68,9 @@ class NetworkBase : public Env {
   [[nodiscard]] std::size_t node_count() const final { return node_count_; }
   [[nodiscard]] obs::ObsContext& obs() final { return *obs_; }
   [[nodiscard]] Arena& wire_arena() final { return wire_arena_; }
-  [[nodiscard]] std::uint64_t msg_ref(const MessageHash& h) const final;
-  void notify_delivered(const MessageHash& h, NodeId dst) final;
-  void notify_relayed(const MessageHash& h, NodeId from, NodeId to) final;
+  [[nodiscard]] MessageId message_id(const MessageHash& h) const final;
+  void notify_delivered(MessageId id, NodeId dst) final;
+  void notify_relayed(MessageId id, NodeId from, NodeId to) final;
   void notify_detection(NodeId culprit, NodeId detector, metrics::DetectionMethod method,
                         Duration after_delta1) final;
   void broadcast_pom(const ProofOfMisbehavior& pom) final;
@@ -90,8 +91,8 @@ class NetworkBase : public Env {
   [[nodiscard]] ProtocolNode& base_node(NodeId n) { return *generic_nodes_.at(n.value()); }
 
  protected:
-  /// Subclass hooks.
-  virtual void inject(NodeId src, const SealedMessage& m) = 0;
+  /// Subclass hooks. `id` is the message's dense per-run id.
+  virtual void inject(NodeId src, const SealedMessage& m, MessageId id) = 0;
   virtual void contact(TimePoint t, NodeId a, NodeId b, Duration contact_duration) = 0;
 
   /// Contact byte budget from the configured bandwidth (SIZE_MAX = unlimited).
@@ -118,10 +119,21 @@ class NetworkBase : public Env {
   /// runs isolated while every contact of a run reuses the same warm chunks.
   Arena wire_arena_;
   metrics::Collector* collector_;
-  std::map<MessageHash, MessageId> hash_to_id_;
   std::vector<BehaviorConfig> behaviors_;
 
  private:
+  /// H(m) is uniformly distributed, so its first 8 bytes are a good hash.
+  struct HashPrefix {
+    std::size_t operator()(const MessageHash& h) const noexcept {
+      std::size_t v = 0;
+      std::memcpy(&v, h.data(), sizeof v);
+      return v;
+    }
+  };
+
+  /// The run's only hash-keyed table: H(m) -> the MessageId its message was
+  /// generated with, filled once per message by schedule_traffic.
+  std::unordered_map<MessageHash, MessageId, HashPrefix> hash_to_id_;
   std::unique_ptr<crypto::Authority> authority_;
   /// The per-run verification memo wrapped around config.suite; run()
   /// flushes its hit/miss stats into the fastpath.* registry counters.
@@ -155,7 +167,9 @@ class Network final : public NetworkBase {
   [[nodiscard]] NodeT& node(NodeId n) { return *nodes_.at(n.value()); }
 
  private:
-  void inject(NodeId src, const SealedMessage& m) override { node(src).generate(m); }
+  void inject(NodeId src, const SealedMessage& m, MessageId id) override {
+    node(src).generate(m, id);
+  }
 
   void contact(TimePoint t, NodeId a, NodeId b, Duration contact_duration) override {
     record_contact_up(a, b, contact_duration);

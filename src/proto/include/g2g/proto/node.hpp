@@ -7,7 +7,6 @@
 // nodes run while in radio range.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "g2g/crypto/identity.hpp"
@@ -88,24 +87,23 @@ class Env {
   [[nodiscard]] virtual bool outsiders(NodeId a, NodeId b) const = 0;
   [[nodiscard]] virtual std::size_t node_count() const = 0;
 
-  /// The run's observability bundle (tracer + counter registry). The default
-  /// is a shared process-wide context with tracing disabled, so lightweight
-  /// test Envs need not provide one; NetworkBase overrides with a per-run
-  /// context (a requirement for parallel sweeps).
-  [[nodiscard]] virtual obs::ObsContext& obs();
+  /// The run's observability bundle (tracer + counter registry), one per run
+  /// (a requirement for parallel sweeps).
+  [[nodiscard]] virtual obs::ObsContext& obs() = 0;
   /// Scratch arena for the zero-copy wire path: encoded frames and signed
   /// payloads of the current handshake/audit step live here. The engines
   /// reset() it at the start of every handshake attempt and audit challenge,
   /// so arena-backed views never outlive the step that produced them (see
-  /// DESIGN.md "Buffer ownership"). The default is a per-thread arena for
-  /// lightweight test Envs; NetworkBase overrides with a per-run arena.
-  [[nodiscard]] virtual Arena& wire_arena();
-  /// Trace reference for a message hash: the MessageId where the Env knows
-  /// the mapping, otherwise the hash's first 8 bytes.
-  [[nodiscard]] virtual std::uint64_t msg_ref(const MessageHash& h) const;
+  /// DESIGN.md "Buffer ownership"). One per run, like obs().
+  [[nodiscard]] virtual Arena& wire_arena() = 0;
+  /// The dense per-run id the Env interned for H(m) when it generated m;
+  /// MessageId::invalid() for a hash no message of this run has. Nodes carry
+  /// the id alongside the hash, so only a frame that names a message by its
+  /// hash alone needs this lookup.
+  [[nodiscard]] virtual MessageId message_id(const MessageHash& h) const = 0;
 
-  virtual void notify_delivered(const MessageHash& h, NodeId dst) = 0;
-  virtual void notify_relayed(const MessageHash& h, NodeId from, NodeId to) = 0;
+  virtual void notify_delivered(MessageId id, NodeId dst) = 0;
+  virtual void notify_relayed(MessageId id, NodeId from, NodeId to) = 0;
   virtual void notify_detection(NodeId culprit, NodeId detector,
                                 metrics::DetectionMethod method, Duration after_delta1) = 0;
   /// Called whenever a node issues a PoM. The default Network uses epidemic

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "g2g/proto/relay/state.hpp"
 
@@ -28,14 +27,17 @@ class HandshakeEngine {
  public:
   explicit HandshakeEngine(RelayNode& host) : host_(host) {}
 
-  /// Source-side message admission (the host supplies the initial f_m).
-  void generate(const SealedMessage& m, double fm);
+  /// Source-side message admission (the host supplies the initial f_m);
+  /// `id` is the message's dense per-run id.
+  void generate(const SealedMessage& m, MessageId id, double fm);
 
-  /// Delta2 housekeeping: expired holds go (the host is told first so it can
-  /// drop its own per-message records), resolved or out-of-window tests go.
+  /// Delta2 housekeeping: expired holds go, except a source's hold while a
+  /// test of one of its relays is pending; resolved or out-of-window tests go.
   void purge(TimePoint now);
 
-  /// Giver side: offer every eligible hold to `taker`, one handshake each.
+  /// Giver side: offer every eligible hold to `taker`, one handshake each,
+  /// in hash order (with byte-budgeted contacts the order decides which
+  /// holds get a handshake).
   void giver_pass(Session& s, RelayNode& taker);
 
   /// Taker side of step 2 for the epidemic handshake: decode the RELAY_RQST
@@ -51,21 +53,24 @@ class HandshakeEngine {
   [[nodiscard]] BytesView countersign(Session& s, RelayNode& giver, ProofOfRelay por);
 
   /// Taker side after the key reveal (step 5): decode the data and key
-  /// frames, then store / deliver / drop per behaviour.
+  /// frames, then store / deliver / drop per behaviour. H(m) is computed over
+  /// the received wire bytes and resolved to its id once, here.
   void complete_relay(Session& s, RelayNode& giver, BytesView data_frame,
                       BytesView key_frame, double new_fm, TimePoint expires);
 
   /// Forwarding duty fulfilled (or Delta2): the payload may go, PoRs stay.
   void drop_payload(Hold& hold);
 
-  [[nodiscard]] bool has_handled(const MessageHash& h) const { return handled_.contains(h); }
+  [[nodiscard]] bool has_handled(MessageId id) const { return handled_.contains(id); }
   [[nodiscard]] std::map<MessageHash, Hold>& holds() { return hold_; }
   [[nodiscard]] const std::map<MessageHash, Hold>& holds() const { return hold_; }
 
  private:
   RelayNode& host_;
+  /// Keyed and iterated by hash (giver_pass order); membership lives in
+  /// handled_.
   std::map<MessageHash, Hold> hold_;
-  std::set<MessageHash> handled_;
+  MessageIdSet handled_;
 };
 
 }  // namespace g2g::proto::relay

@@ -7,7 +7,6 @@
 // these; the policy nodes reach them through their host accessors.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "g2g/proto/message.hpp"
@@ -20,6 +19,7 @@ namespace g2g::proto::relay {
 /// their defaults for Epidemic holds.
 struct Hold {
   SealedMessage msg;
+  MessageId id;  ///< the message's dense per-run id
   bool has_msg = false;  ///< payload still stored (PoRs may outlive it)
   std::size_t msg_bytes = 0;
   double fm = 0.0;  ///< quality label; changed only when forwarded (Delegation)
@@ -30,12 +30,15 @@ struct Hold {
   bool is_destination = false;
   std::vector<ProofOfRelay> pors;
   std::vector<QualityDeclaration> attachments;       ///< carried toward D
-  std::deque<QualityDeclaration> failed_candidates;  ///< source only, last 2
+  /// Source only, the last 2, oldest first. A vector: an empty one costs no
+  /// allocation, and every Hold starts empty.
+  std::vector<QualityDeclaration> failed_candidates;
 };
 
 /// A relay the source must challenge when re-met in (Delta1, Delta2].
 struct PendingTest {
   MessageHash h{};
+  MessageId id;
   NodeId relay;
   TimePoint relayed_at;
   ProofOfRelay por;  ///< the PoR the relay signed for us

@@ -1,7 +1,5 @@
 #include "g2g/proto/delegation.hpp"
 
-#include <vector>
-
 namespace g2g::proto {
 
 DelegationNode::DelegationNode(Env& env, crypto::NodeIdentity identity, NodeConfig config,
@@ -18,19 +16,19 @@ double DelegationNode::declare_quality(NodeId dst, NodeId asker) const {
   return table_.current(config().quality_kind, dst);
 }
 
-void DelegationNode::generate(const SealedMessage& m) {
-  const MessageHash h = m.hash();
+void DelegationNode::generate(const SealedMessage& m, MessageId id) {
   Entry e;
   e.msg = m;
+  e.id = id;
   // "When a message is generated, it is associated with the forwarding
   // quality of the sender" (Section VI).
   e.fm = table_.current(config().quality_kind, m.dst);
   e.expires = env_.now() + config().delta1;
   e.bytes = m.wire_size();
   buffer_changed(static_cast<std::int64_t>(e.bytes));
-  buffer_.emplace(h, std::move(e));
-  seen_.insert(h);
-  mine_.insert(h);
+  buffer_.emplace(m.hash(), std::move(e));
+  seen_.insert(id);
+  mine_.insert(id);
 }
 
 void DelegationNode::run_contact(Session& s, DelegationNode& x, DelegationNode& y) {
@@ -46,24 +44,16 @@ void DelegationNode::offer_all(Session& s, DelegationNode& taker) {
       behavior().kind == Behavior::Hoarder && deviates_with(taker.id());
   s.transfer(*this, buffer_.size() * sizeof(MessageHash),
              obs::WireKind::SummaryVector);  // summary vector
-  std::vector<MessageHash> offered;
-  offered.reserve(buffer_.size());
-  for (const auto& [h, e] : buffer_) {
-    if (hoarding && !mine_.contains(h)) continue;
-    offered.push_back(h);
-  }
-
-  for (const MessageHash& h : offered) {
+  // receive() mutates only the taker, so the buffer is walked in place.
+  for (auto& [h, e] : buffer_) {
+    if (hoarding && !mine_.contains(e.id)) continue;
     if (s.exhausted()) break;  // contact too short to carry more
-    const auto it = buffer_.find(h);
-    if (it == buffer_.end()) continue;
-    Entry& e = it->second;
-    if (taker.seen_.contains(h)) continue;
+    if (taker.seen_.contains(e.id)) continue;
 
     if (e.msg.dst == taker.id()) {
       // Direct delivery, regardless of quality.
       s.transfer(*this, e.bytes, obs::WireKind::Payload);
-      taker.receive(s, *this, e.msg, e.fm, e.expires);
+      taker.receive(s, *this, h, e);
       continue;
     }
 
@@ -76,33 +66,27 @@ void DelegationNode::offer_all(Session& s, DelegationNode& taker) {
       // "...creates a replica of the message, labels both messages with the
       // forwarding quality of node B, and forwards one of the two replicas."
       e.fm = q;
-      taker.receive(s, *this, e.msg, q, e.expires);
+      taker.receive(s, *this, h, e);
     }
   }
 }
 
-void DelegationNode::receive(Session& s, DelegationNode& giver, const SealedMessage& m,
-                             double fm, TimePoint expires) {
-  const MessageHash h = m.hash();
-  seen_.insert(h);
-  s.env().notify_relayed(h, giver.id(), id());
+void DelegationNode::receive(Session& s, DelegationNode& giver, const MessageHash& h,
+                             const Entry& e) {
+  seen_.insert(e.id);
+  s.env().notify_relayed(e.id, giver.id(), id());
 
-  if (m.dst == id()) {
-    const auto opened = open_message(identity(), m, s.env().roster());
+  if (e.msg.dst == id()) {
+    const auto opened = open_message(identity(), e.msg, s.env().roster());
     count_verification();
-    if (opened.has_value() && opened->authentic) s.env().notify_delivered(h, id());
+    if (opened.has_value() && opened->authentic) s.env().notify_delivered(e.id, id());
     return;
   }
 
   if (behavior().kind == Behavior::Dropper && deviates_with(giver.id())) return;
 
-  Entry e;
-  e.msg = m;
-  e.fm = fm;
-  e.expires = expires;
-  e.bytes = m.wire_size();
   buffer_changed(static_cast<std::int64_t>(e.bytes));
-  buffer_.emplace(h, std::move(e));
+  buffer_.emplace(h, e);
   enforce_buffer_cap();
 }
 

@@ -1,19 +1,17 @@
 #include "g2g/proto/epidemic.hpp"
 
-#include <vector>
-
 namespace g2g::proto {
 
-void EpidemicNode::generate(const SealedMessage& m) {
-  const MessageHash h = m.hash();
+void EpidemicNode::generate(const SealedMessage& m, MessageId id) {
   Entry e;
   e.msg = m;
+  e.id = id;
   e.expires = env_.now() + config().delta1;
   e.bytes = m.wire_size();
   buffer_changed(static_cast<std::int64_t>(e.bytes));
-  buffer_.emplace(h, std::move(e));
-  seen_.insert(h);
-  mine_.insert(h);
+  buffer_.emplace(m.hash(), std::move(e));
+  seen_.insert(id);
+  mine_.insert(id);
 }
 
 void EpidemicNode::run_contact(Session& s, EpidemicNode& x, EpidemicNode& y) {
@@ -29,34 +27,25 @@ void EpidemicNode::offer_all(Session& s, EpidemicNode& taker) {
       behavior().kind == Behavior::Hoarder && deviates_with(taker.id());
   // Summary-vector exchange: one hash per carried message.
   s.transfer(*this, buffer_.size() * sizeof(MessageHash), obs::WireKind::SummaryVector);
-  // Snapshot hashes first: receive() on the peer can trigger no mutation on
-  // this node, but keep iteration robust anyway.
-  std::vector<MessageHash> offered;
-  offered.reserve(buffer_.size());
+  // receive() mutates only the taker, so the buffer is walked in place.
   for (const auto& [h, e] : buffer_) {
-    if (hoarding && !mine_.contains(h)) continue;
-    offered.push_back(h);
-  }
-  for (const MessageHash& h : offered) {
+    if (hoarding && !mine_.contains(e.id)) continue;
     if (s.exhausted()) break;  // contact too short to carry more
-    const auto it = buffer_.find(h);
-    if (it == buffer_.end()) continue;
-    if (taker.seen_.contains(h)) continue;
-    s.transfer(*this, it->second.bytes, obs::WireKind::Payload);
-    taker.receive(s, *this, it->second.msg, it->second.expires);
+    if (taker.seen_.contains(e.id)) continue;
+    s.transfer(*this, e.bytes, obs::WireKind::Payload);
+    taker.receive(s, *this, h, e);
   }
 }
 
-void EpidemicNode::receive(Session& s, EpidemicNode& giver, const SealedMessage& m,
-                           TimePoint expires) {
-  const MessageHash h = m.hash();
-  seen_.insert(h);
-  s.env().notify_relayed(h, giver.id(), id());
+void EpidemicNode::receive(Session& s, EpidemicNode& giver, const MessageHash& h,
+                           const Entry& e) {
+  seen_.insert(e.id);
+  s.env().notify_relayed(e.id, giver.id(), id());
 
-  if (m.dst == id()) {
-    const auto opened = open_message(identity(), m, s.env().roster());
+  if (e.msg.dst == id()) {
+    const auto opened = open_message(identity(), e.msg, s.env().roster());
     count_verification();  // inner sender-signature check
-    if (opened.has_value() && opened->authentic) s.env().notify_delivered(h, id());
+    if (opened.has_value() && opened->authentic) s.env().notify_delivered(e.id, id());
     return;  // destinations consume; `seen_` suppresses re-reception
   }
 
@@ -64,12 +53,8 @@ void EpidemicNode::receive(Session& s, EpidemicNode& giver, const SealedMessage&
   // just drops every message it happens to relay" (Section V).
   if (behavior().kind == Behavior::Dropper && deviates_with(giver.id())) return;
 
-  Entry e;
-  e.msg = m;
-  e.expires = expires;
-  e.bytes = m.wire_size();
   buffer_changed(static_cast<std::int64_t>(e.bytes));
-  buffer_.emplace(h, std::move(e));
+  buffer_.emplace(h, e);
   enforce_buffer_cap();
 }
 

@@ -31,21 +31,18 @@ double G2GDelegationNode::source_fm(const SealedMessage& m) {
   return table_.current(config().quality_kind, m.dst);
 }
 
-void G2GDelegationNode::on_generate(const SealedMessage& m) {
-  my_message_dst_.emplace(m.hash(), m.dst);
-}
-
-void G2GDelegationNode::on_hold_erased(const MessageHash& h) { my_message_dst_.erase(h); }
-
 void G2GDelegationNode::on_delivered(Session& s,
                                      const std::vector<QualityDeclaration>& attachments) {
   check_attachments(s, attachments);
 }
 
 bool G2GDelegationNode::begin_test(relay::PendingTest& t, NodeId& real_dst) {
-  const auto dst_it = my_message_dst_.find(t.h);
-  if (dst_it == my_message_dst_.end()) return false;  // message record gone
-  real_dst = dst_it->second;
+  // Ground truth for the chain check: the real destination, from the
+  // source's own hold (purge keeps it while the test is pending).
+  const auto& holds = handshake().holds();
+  const auto it = holds.find(t.h);
+  if (it == holds.end()) return false;  // message record gone
+  real_dst = it->second.msg.dst;
   return true;
 }
 
@@ -75,7 +72,7 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   // "When the destination of m is B, D' is chosen as a random node different
   // from B" — B must not learn it is the destination.
   const NodeId dprime = to_dst ? random_decoy(taker.id()) : real_dst;
-  const std::uint64_t ref = env_.msg_ref(h);
+  const std::uint64_t ref = hold.id.value();
 
   // Step 8: FQ_RQST.
   counters().handshakes_started->add();
@@ -115,7 +112,9 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
     counters().handshakes_declined->add();
     if (hold.is_source) {
       hold.failed_candidates.push_back(decl);
-      while (hold.failed_candidates.size() > 2) hold.failed_candidates.pop_front();
+      if (hold.failed_candidates.size() > 2) {
+        hold.failed_candidates.erase(hold.failed_candidates.begin());
+      }
     }
     return std::nullopt;
   }
@@ -123,12 +122,8 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   // Step 10: RELAY with f_m and the embedded declarations. A source ships its
   // archived failed-candidate declarations; a relay forwards the attachments
   // it received — borrowed straight from the hold, no copies.
-  std::vector<QualityDeclaration> source_decls;
-  if (hold.is_source) {
-    source_decls.assign(hold.failed_candidates.begin(), hold.failed_candidates.end());
-  }
   const std::span<const QualityDeclaration> attachments =
-      hold.is_source ? std::span<const QualityDeclaration>(source_decls)
+      hold.is_source ? std::span<const QualityDeclaration>(hold.failed_candidates)
                      : std::span<const QualityDeclaration>(hold.attachments);
   std::size_t attach_bytes = 0;
   for (const auto& a : attachments) attach_bytes += a.wire_size();
@@ -169,8 +164,9 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
 std::variant<BytesView, QualityDeclaration> G2GDelegationNode::respond_fq(
     Session& s, G2GDelegationNode& giver, BytesView rqst_frame) {
   const relay::FqRqstFrame rq = s.recv<relay::FqRqstFrame>(*this, rqst_frame);
-  if (handshake().has_handled(rq.h)) {
-    trace_event(obs::EventKind::HsRelayOk, giver.id(), env_.msg_ref(rq.h), 0);
+  const MessageId msg = env_.message_id(rq.h);
+  if (handshake().has_handled(msg)) {
+    trace_event(obs::EventKind::HsRelayOk, giver.id(), msg.value(), 0);
     return s.send(*this, relay::RelayOkFrame{rq.h, false});
   }
   QualityDeclaration decl;
@@ -187,7 +183,7 @@ std::variant<BytesView, QualityDeclaration> G2GDelegationNode::respond_fq(
   }
   count_signature();
   decl.signature = identity().sign(arena_signed_payload(s.arena(), decl));
-  trace_event(obs::EventKind::FqResp, giver.id(), env_.msg_ref(rq.h),
+  trace_event(obs::EventKind::FqResp, giver.id(), msg.value(),
               static_cast<std::int64_t>(decl.value * 1e6));
   s.transfer(*this, decl.wire_size(), obs::WireKind::QualityDecl);
   return decl;
@@ -236,7 +232,7 @@ void G2GDelegationNode::check_attachments(Session& s,
 bool G2GDelegationNode::chain_check(const relay::PendingTest& t,
                                     const std::vector<ProofOfRelay>& pors, NodeId real_dst,
                                     TimePoint now) {
-  const std::uint64_t ref = env_.msg_ref(t.h);
+  const std::uint64_t ref = t.id.value();
   // Presented PoRs in relay order.
   std::vector<ProofOfRelay> ordered = pors;
   std::sort(ordered.begin(), ordered.end(),

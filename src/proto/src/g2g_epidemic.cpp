@@ -8,7 +8,7 @@ namespace g2g::proto {
 
 std::optional<relay::HandshakeOutcome> G2GEpidemicNode::relay_attempt(
     Session& s, relay::RelayNode& taker, const MessageHash& h, relay::Hold& hold) {
-  const std::uint64_t ref = env_.msg_ref(h);
+  const std::uint64_t ref = hold.id.value();
 
   // Step 1: RELAY_RQST; step 2: the taker answers RELAY_OK or declines.
   counters().handshakes_started->add();

@@ -75,9 +75,9 @@ crypto::NodeIdentity NetworkBase::make_identity(NodeId n) {
 
 void NetworkBase::register_node(ProtocolNode* node) { generic_nodes_.push_back(node); }
 
-std::uint64_t NetworkBase::msg_ref(const MessageHash& h) const {
+MessageId NetworkBase::message_id(const MessageHash& h) const {
   const auto it = hash_to_id_.find(h);
-  return it != hash_to_id_.end() ? it->second.value() : Env::msg_ref(h);
+  return it != hash_to_id_.end() ? it->second : MessageId::invalid();
 }
 
 void NetworkBase::record_contact_up(NodeId a, NodeId b, Duration contact_duration) {
@@ -106,14 +106,12 @@ void NetworkBase::record_contact_down(NodeId a, NodeId b, std::size_t bytes_used
   }
 }
 
-void NetworkBase::notify_delivered(const MessageHash& h, NodeId /*dst*/) {
-  const auto it = hash_to_id_.find(h);
-  if (it != hash_to_id_.end()) collector_->message_delivered(it->second, now());
+void NetworkBase::notify_delivered(MessageId id, NodeId /*dst*/) {
+  collector_->message_delivered(id, now());
 }
 
-void NetworkBase::notify_relayed(const MessageHash& h, NodeId from, NodeId to) {
-  const auto it = hash_to_id_.find(h);
-  if (it != hash_to_id_.end()) collector_->message_relayed(it->second, from, to, now());
+void NetworkBase::notify_relayed(MessageId id, NodeId from, NodeId to) {
+  collector_->message_relayed(id, from, to, now());
 }
 
 void NetworkBase::notify_detection(NodeId culprit, NodeId detector,
@@ -141,6 +139,7 @@ void NetworkBase::warm_up(const std::vector<trace::ContactEvent>& history,
 }
 
 void NetworkBase::schedule_traffic(const std::vector<sim::TrafficDemand>& demands) {
+  hash_to_id_.reserve(hash_to_id_.size() + demands.size());
   for (const auto& d : demands) {
     sim_.at(d.at, [this, d] {
       ProtocolNode& src = *generic_nodes_.at(d.src.value());
@@ -150,8 +149,10 @@ void NetworkBase::schedule_traffic(const std::vector<sim::TrafficDemand>& demand
       const SealedMessage m =
           make_message(src.identity(), roster_.get(d.dst), d.id, body, rng_);
       collector_->message_generated(d.id, d.src, d.dst, now());
+      // Interned once, here: every node reached by the message carries d.id
+      // next to its hash from now on.
       hash_to_id_.emplace(m.hash(), d.id);
-      inject(d.src, m);
+      inject(d.src, m, d.id);
     });
   }
 }

@@ -15,28 +15,6 @@ const char* to_string(Behavior b) {
   return "?";
 }
 
-obs::ObsContext& Env::obs() {
-  // Shared fallback for lightweight test Envs; tracing stays disabled and the
-  // counters are only ever driven from single-threaded unit tests.
-  static obs::ObsContext fallback;
-  return fallback;
-}
-
-Arena& Env::wire_arena() {
-  // Per-thread fallback for lightweight test Envs; NetworkBase overrides with
-  // a per-run arena so parallel sweeps never share scratch across runs.
-  static thread_local Arena fallback;
-  return fallback;
-}
-
-std::uint64_t Env::msg_ref(const MessageHash& h) const {
-  std::uint64_t ref = 0;
-  for (std::size_t i = 0; i < 8 && i < h.size(); ++i) {
-    ref |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-  }
-  return ref;
-}
-
 Session::Session(Env& env, ProtocolNode& a, ProtocolNode& b, std::size_t byte_budget)
     : env_(env), a_(a), b_(b), budget_(byte_budget) {
   // Mutual authentication: exchange certificates, verify them, agree a

@@ -60,7 +60,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     NodeId real_dst = NodeId::invalid();
     if (!host_.begin_test(t, real_dst)) continue;  // policy record gone
 
-    const std::uint64_t ref = host_.env_.msg_ref(t.h);
+    const std::uint64_t ref = t.id.value();
     host_.counters().tests_by_sender->add();
     // One audit_round span per test-by-sender challenge, child of the message
     // span; the close value mirrors the TestBySender event (0 fail, 1 PoRs
@@ -221,7 +221,7 @@ void AuditEngine::storage_proof(Session& s, const Hold& hold, const PorRqstFrame
   host_.count_heavy_hmac();
   host_.counters().storage_challenges->add();
   host_.trace_event(obs::EventKind::StorageChallenge, s.peer_of(host_).id(),
-                    host_.env_.msg_ref(rq.h), host_.config().heavy_hmac_iterations);
+                    hold.id.value(), host_.config().heavy_hmac_iterations);
   // The stored copy the proof covers, handed to the challenger in the
   // session arena's current generation (valid until the next challenge).
   resp.stored_copy = arena_encode(s.arena(), hold.msg);

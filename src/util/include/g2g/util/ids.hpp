@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace g2g {
 
@@ -37,6 +39,24 @@ class MessageId {
 
  private:
   std::uint64_t v_ = ~0ULL;
+};
+
+/// Membership over the dense per-run message ids (traffic numbers a run's
+/// messages 1..N): one bit per id, grown on insert.
+class MessageIdSet {
+ public:
+  void insert(MessageId id) {
+    if (!id.valid()) throw std::logic_error("MessageIdSet: invalid message id");
+    const std::uint64_t v = id.value();
+    if (v >= bits_.size()) bits_.resize(v + 1);
+    bits_[v] = true;
+  }
+  [[nodiscard]] bool contains(MessageId id) const {
+    return id.value() < bits_.size() && bits_[id.value()];
+  }
+
+ private:
+  std::vector<bool> bits_;
 };
 
 [[nodiscard]] inline std::string to_string(NodeId id) {

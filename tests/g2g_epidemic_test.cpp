@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "proto_test_util.hpp"
 
 namespace g2g::proto {
@@ -120,6 +122,33 @@ TEST(G2GEpidemic, HonestRelayWithoutRelaysPassesViaStorageProof) {
   EXPECT_EQ(w.collector().costs(NodeId(0)).heavy_hmacs, 1u);
   // ...but a stored copy byte-equal to the source's agrees without a chain.
   EXPECT_EQ(w.network().obs().counters.heavy_hmac_computed->value(), 0u);
+}
+
+TEST(G2GEpidemic, PurgeKeepsSourceHoldWhileItsTestIsPending) {
+  // Generated at t=0 and relayed at t=25 min: the source's hold expires at
+  // received + Delta2 = 60 min, but its test of node 1 stays open until
+  // relayed_at + Delta2 = 85 min. The re-meet at 66 min is past the first
+  // and inside the second, so the purge that opens the contact must keep
+  // the source's copy for the storage proof.
+  constexpr double kRelayed = 1500.0;
+  constexpr double kReMeet = 3960.0;
+  G2GWorld w(make_trace(4, {{0, 1, kRelayed, kRelayed + 10}, {0, 1, kReMeet, kReMeet + 10}}));
+  w.network().obs().tracer.enable_ring();
+  w.send(0, 3, 0);
+  bool stored_before = false;
+  w.network().simulator().at(TimePoint::from_seconds(kReMeet - 1), [&] {
+    const auto& holds = w.node(0).handshake().holds();
+    stored_before = holds.size() == 1 && holds.begin()->second.has_msg;
+  });
+  w.run();
+  EXPECT_TRUE(stored_before);
+  std::vector<std::int64_t> verdicts;
+  for (const obs::Event& e : w.network().obs().tracer.ring()) {
+    if (e.kind == obs::EventKind::TestBySender) verdicts.push_back(e.value);
+  }
+  // 2: storage proof ok (3 would be "inconclusive": the source lost m).
+  EXPECT_EQ(verdicts, std::vector<std::int64_t>{2});
+  EXPECT_TRUE(w.collector().detections().empty());
 }
 
 class G2GEpidemicTamper : public ::testing::TestWithParam<testutil::StoredCopyEdit> {};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
 #include "g2g/core/experiment.hpp"
 #include "g2g/obs/context.hpp"
 
@@ -45,6 +49,45 @@ TEST(Collector, RejectsUnknownAndDuplicateIds) {
                std::logic_error);
 }
 
+TEST(Collector, CopyOwnsItsDenseStorage) {
+  // Results copy the Collector: the copy must answer from its own vectors
+  // once the original is gone.
+  auto original = std::make_unique<Collector>();
+  original->message_generated(MessageId(1), NodeId(0), NodeId(4), at(10));
+  original->message_generated(MessageId(3), NodeId(2), NodeId(1), at(30));
+  original->message_relayed(MessageId(3), NodeId(2), NodeId(1), at(40));
+  original->message_delivered(MessageId(3), at(40));
+  original->costs(NodeId(2)).bytes_sent = 77;
+  const Collector copy = *original;
+  original.reset();
+
+  std::vector<std::uint64_t> ids;
+  for (const auto& rec : copy.messages()) ids.push_back(rec.id.value());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 3}));  // id order; slots 0 and 2 unused
+  EXPECT_EQ(copy.generated_count(), 2u);
+  EXPECT_EQ(copy.message(MessageId(3)).replicas, 1u);
+  EXPECT_EQ(copy.message(MessageId(3)).delivered, at(40));
+  EXPECT_EQ(copy.find_message(MessageId(2)), nullptr);
+  EXPECT_THROW((void)copy.message(MessageId(2)), std::out_of_range);
+  EXPECT_EQ(copy.costs(NodeId(2)).bytes_sent, 77u);
+}
+
+TEST(Collector, UnknownOrOutOfRangeIdsThrow) {
+  Collector c;
+  c.message_generated(MessageId(2), NodeId(0), NodeId(1), at(0));
+  // Id 1 has a slot (below the largest generated id) but no message.
+  EXPECT_THROW(c.message_relayed(MessageId(1), NodeId(0), NodeId(1), at(5)), std::logic_error);
+  EXPECT_THROW(c.message_delivered(MessageId(1), at(5)), std::logic_error);
+  // Ids past the table, up to the invalid sentinel, have none either.
+  for (const MessageId id : {MessageId(3), MessageId(1u << 20), MessageId::invalid()}) {
+    EXPECT_THROW(c.message_relayed(id, NodeId(0), NodeId(1), at(5)), std::logic_error);
+    EXPECT_THROW(c.message_delivered(id, at(5)), std::logic_error);
+  }
+  EXPECT_THROW(c.message_generated(MessageId::invalid(), NodeId(0), NodeId(1), at(0)),
+               std::logic_error);
+  EXPECT_EQ(c.message(MessageId(2)).replicas, 0u);
+}
+
 TEST(Collector, DetectionBookkeeping) {
   Collector c;
   c.detection(DetectionEvent{NodeId(3), NodeId(0), at(100), DetectionMethod::TestBySender,
@@ -78,6 +121,20 @@ TEST(Collector, CostsAreZeroInitializedAndMutable) {
   const Collector& cc = c;
   EXPECT_EQ(cc.costs(NodeId(7)).signatures, 2u);
   EXPECT_EQ(cc.costs(NodeId(99)).signatures, 0u);  // const lookup of unknown node
+}
+
+TEST(Collector, ConstCostsOfUnchargedNodeAreZero) {
+  Collector c;
+  c.costs(NodeId(5)).heavy_hmacs = 3;  // grows the table past nodes 0..4
+  const Collector& cc = c;
+  for (const NodeId n : {NodeId(0), NodeId(4), NodeId(6), NodeId(1000)}) {
+    const NodeCosts& z = cc.costs(n);
+    EXPECT_EQ(z.bytes_sent + z.bytes_received + z.signatures + z.verifications +
+                  z.heavy_hmacs + z.sessions,
+              0u);
+    EXPECT_EQ(z.memory_byte_seconds, 0.0);
+  }
+  EXPECT_EQ(cc.costs(NodeId(5)).heavy_hmacs, 3u);
 }
 
 TEST(Collector, InstrumentedCallsFeedTheObsContext) {

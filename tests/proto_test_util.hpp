@@ -76,10 +76,10 @@ class World {
   [[nodiscard]] metrics::Collector& collector() { return collector_; }
 
   [[nodiscard]] bool delivered(MessageId id) const {
-    return collector_.messages().at(id).delivered.has_value();
+    return collector_.message(id).delivered.has_value();
   }
   [[nodiscard]] std::uint32_t replicas(MessageId id) const {
-    return collector_.messages().at(id).replicas;
+    return collector_.message(id).replicas;
   }
 
  private:
