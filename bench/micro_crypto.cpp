@@ -17,7 +17,6 @@
 #include "g2g/crypto/sealed_box.hpp"
 #include "g2g/crypto/sha256.hpp"
 #include "g2g/crypto/suite.hpp"
-#include "g2g/crypto/verify_cache.hpp"
 
 namespace {
 
@@ -200,19 +199,6 @@ void BM_SchnorrBatchPerSig(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrBatchPerSig)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
-// Memoized repeat verification, the common case inside a simulation run
-// (the same PoR certificate is re-checked at every audit).
-void BM_CachedVerifyHit(benchmark::State& state) {
-  const auto suite = make_caching_suite(make_fast_suite());
-  Rng rng(7);
-  const KeyPair kp = suite->keygen(rng);
-  const Bytes msg = to_bytes("proof of relay payload");
-  const Bytes sig = suite->sign(kp.secret_key, msg);
-  benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));  // warm the entry
-  for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
-}
-BENCHMARK(BM_CachedVerifyHit);
-
 void BM_FastSuiteSign(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(3);
@@ -231,6 +217,28 @@ void BM_FastSuiteVerify(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
 }
 BENCHMARK(BM_FastSuiteVerify);
+
+// Verification across a roster of 100 keys in turn, the shape of a
+// simulation run: each key's schedule is built on first use and reused after.
+void BM_FastSuiteVerifyRoster(benchmark::State& state) {
+  const SuitePtr suite = make_fast_suite();
+  Rng rng(8);
+  const Bytes msg = to_bytes("proof of relay payload");
+  std::vector<KeyPair> keys;
+  std::vector<Bytes> sigs;
+  for (int i = 0; i < 100; ++i) {
+    keys.push_back(suite->keygen(rng));
+    sigs.push_back(suite->sign(keys.back().secret_key, msg));
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      benchmark::DoNotOptimize(suite->verify(keys[i].public_key, msg, sigs[i]));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_FastSuiteVerifyRoster);
 
 // A full audit round of storage-proof chains through the multi-lane batch;
 // per-chain time = total / jobs. Compare with BM_HeavyHmac at the same

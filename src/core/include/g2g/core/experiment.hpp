@@ -53,7 +53,9 @@ struct ExperimentConfig {
   /// Feed the pre-window trace history into the encounter tables (the
   /// Delegation qualities need more than 3 hours of history to be useful).
   bool warm_up_tables = true;
-  /// nullptr => fast symmetric suite (default for sweeps).
+  /// nullptr => fast symmetric suite (default for sweeps), one per run. A
+  /// make_fast_suite() passed here keeps per-key state and must not be
+  /// shared by runs on different threads; a Schnorr suite may be.
   crypto::SuitePtr suite;
   /// Override Delta1 (otherwise taken from the scenario per protocol family).
   std::optional<Duration> delta1_override;

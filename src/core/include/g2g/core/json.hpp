@@ -22,7 +22,8 @@ namespace g2g::core {
 /// Deterministic (name-sorted maps, integer counts).
 [[nodiscard]] std::string to_json(const obs::Registry& registry);
 
-/// Registry serialization with control over the fastpath.* cache counters.
+/// Registry serialization with control over the fastpath.* and g2g.*
+/// mechanism counters.
 /// to_json(ExperimentResult) excludes them (they describe how a run was
 /// computed, not what it computed — the bit-identity guards depend on
 /// that); to_json(Registry) includes them for obs reports.

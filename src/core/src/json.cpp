@@ -109,7 +109,7 @@ std::string to_json(const ExperimentResult& r) {
 
   // The counter snapshot is deterministic; the wall-clock stage profile is
   // not, so it is serialized separately (to_json(obs::StageProfile)). The
-  // fastpath.* cache counters are excluded for the same reason: they reflect
+  // fastpath.* and g2g.* mechanism counters are excluded too: they reflect
   // how the run was computed, not what it computed, and this serialization
   // is the bit-identity oracle that compares runs across crypto routes.
   o << ",\"obs\":" << registry_json(r.counters, /*include_fastpath=*/false);

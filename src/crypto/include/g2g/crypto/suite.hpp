@@ -10,6 +10,13 @@
 //    the unforgeability assumption). Protocol code cannot forge signatures it
 //    did not legitimately produce, which is exactly the property the paper's
 //    mechanisms rely on, at a tiny fraction of the CPU cost.
+//    Its HMAC pad states are computed once per key: the seed's in the
+//    constructor, and each K_pub (verify) or secret MAC key (sign) on first
+//    use, in a per-instance key schedule. A sign or verify then costs only
+//    the message's own SHA-256 blocks plus one outer block. That table makes
+//    a FastSuite per-run state: one instance per simulation, never shared
+//    across threads. Signatures are byte-identical to the direct
+//    hmac_sha256(hmac_sha256(seed, pub), msg).
 //
 // Protocol code is written against this interface only.
 #pragma once
@@ -41,7 +48,9 @@ struct VerifyRequest {
   BytesView signature;
 };
 
-/// Abstract signature + key-agreement suite (stateless, shareable).
+/// Abstract signature + key-agreement suite. The Schnorr suite is stateless
+/// and shareable; a FastSuite keeps per-key state, so each run (or thread)
+/// needs its own.
 class Suite {
  public:
   virtual ~Suite() = default;
@@ -53,11 +62,9 @@ class Suite {
   /// Verify a batch of signatures, writing one verdict per request.
   /// `verdicts` must have room for `requests.size()` entries. The default
   /// simply loops over verify(); overrides use the batch shape to amortize
-  /// work. The caching suite answers repeats from its memo and forwards only
-  /// the misses in one inner call; the Schnorr suite folds the whole batch
-  /// into one randomized multi-exponentiation and falls back to
-  /// per-signature checks only when the combined equation rejects, so
-  /// verdicts stay exact per request.
+  /// work: the Schnorr suite folds the whole batch into one randomized
+  /// multi-exponentiation and falls back to per-signature checks only when
+  /// the combined equation rejects, so verdicts stay exact per request.
   virtual void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       verdicts[i] = verify(requests[i].public_key, requests[i].message,
@@ -81,7 +88,8 @@ struct SchnorrGroup;  // schnorr.hpp
 /// verify_batch run one randomized batch check.
 [[nodiscard]] SuitePtr make_schnorr_suite();
 [[nodiscard]] SuitePtr make_schnorr_suite(const SchnorrGroup& group);
-/// Symmetric emulation suite; `seed` is the suite-wide MAC-key seed.
+/// Symmetric emulation suite; `seed` is the suite-wide MAC-key seed. Not
+/// thread-safe: its key schedule fills on first use of each key.
 [[nodiscard]] SuitePtr make_fast_suite(std::uint64_t seed = 0x4732674d41435353ULL);
 
 /// Authenticated symmetric channel keys derived from a shared secret.

@@ -1,6 +1,9 @@
 #include "g2g/crypto/suite.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include "g2g/crypto/hmac.hpp"
@@ -79,11 +82,7 @@ class SchnorrSuite final : public Suite {
 
 class FastSuite final : public Suite {
  public:
-  explicit FastSuite(std::uint64_t seed) {
-    Writer w(8);
-    w.u64(seed);
-    seed_ = std::move(w).take();
-  }
+  explicit FastSuite(std::uint64_t seed) : seed_key_(seed_bytes(seed)) {}
 
   KeyPair keygen(Rng& rng) const override {
     // public key: 32 random bytes; secret key: pub || mac_key(pub).
@@ -94,21 +93,25 @@ class FastSuite final : public Suite {
         pub[8 * i + j] = static_cast<std::uint8_t>(v >> (8 * j));
       }
     }
-    const Digest mac_key = derive_mac_key(pub);
+    const Digest mac_key = seed_key_.mac(pub);
     Bytes secret = pub;
     secret.insert(secret.end(), mac_key.begin(), mac_key.end());
     return KeyPair{std::move(secret), std::move(pub)};
   }
 
   Bytes sign(BytesView secret_key, BytesView message) const override {
-    const Digest d = hmac_sha256(secret_key.subspan(32), message);
-    return digest_bytes(d);
+    const BytesView mac_key = secret_key.subspan(32);
+    if (mac_key.size() != kKeySize) return digest_bytes(hmac_sha256(mac_key, message));
+    return digest_bytes(key_schedule(sign_keys_, mac_key, [&] { return HmacKey(mac_key); })
+                            .mac(message));
   }
 
   bool verify(BytesView public_key, BytesView message, BytesView signature) const override {
     if (signature.size() != kSha256DigestSize) return false;
-    const Digest mac_key = derive_mac_key(public_key);
-    const Digest expect = hmac_sha256(digest_view(mac_key), message);
+    const auto derive = [&] { return HmacKey(digest_view(seed_key_.mac(public_key))); };
+    const Digest expect = public_key.size() == kKeySize
+                              ? key_schedule(verify_keys_, public_key, derive).mac(message)
+                              : derive().mac(message);
     Digest got{};
     std::copy(signature.begin(), signature.end(), got.begin());
     return digest_equal(expect, got);
@@ -117,27 +120,52 @@ class FastSuite final : public Suite {
   Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {
     // Symmetric in the two endpoints: HMAC(seed, sorted(pub_a, pub_b)).
     const BytesView my_pub = my_secret_key.subspan(0, 32);
-    Writer w(64);
     const bool mine_first = std::lexicographical_compare(my_pub.begin(), my_pub.end(),
                                                          peer_public_key.begin(),
                                                          peer_public_key.end());
-    if (mine_first) {
-      w.raw(my_pub);
-      w.raw(peer_public_key);
-    } else {
-      w.raw(peer_public_key);
-      w.raw(my_pub);
-    }
-    return digest_bytes(hmac_sha256(seed_, w.bytes()));
+    return digest_bytes(mine_first ? seed_key_.mac(my_pub, peer_public_key)
+                                   : seed_key_.mac(peer_public_key, my_pub));
   }
 
   std::size_t signature_size() const override { return kSha256DigestSize; }
   std::string name() const override { return "fast-hmac"; }
 
  private:
-  [[nodiscard]] Digest derive_mac_key(BytesView pub) const { return hmac_sha256(seed_, pub); }
+  static constexpr std::size_t kKeySize = 32;
+  using Key = std::array<std::uint8_t, kKeySize>;
+  /// Keys are uniform (random public keys, HMAC-derived MAC keys), so their
+  /// first 8 bytes are a good hash.
+  struct KeyPrefix {
+    std::size_t operator()(const Key& k) const noexcept {
+      std::size_t v = 0;
+      std::memcpy(&v, k.data(), sizeof v);
+      return v;
+    }
+  };
+  using KeyTable = std::unordered_map<Key, HmacKey, KeyPrefix>;
 
-  Bytes seed_;
+  static Bytes seed_bytes(std::uint64_t seed) {
+    Writer w(8);
+    w.u64(seed);
+    return std::move(w).take();
+  }
+
+  /// The HMAC pad state under the 32-byte `key`, built by `make` on first use.
+  template <typename Make>
+  static const HmacKey& key_schedule(KeyTable& table, BytesView key, Make make) {
+    Key k;
+    std::copy(key.begin(), key.end(), k.begin());
+    const auto it = table.find(k);
+    if (it != table.end()) return it->second;
+    return table.emplace(k, make()).first->second;
+  }
+
+  /// HMAC pad state of the suite seed: K_pub = seed_key_.mac(pub).
+  HmacKey seed_key_;
+  /// Per-run key schedules, never iterated: public key -> HmacKey(K_pub) for
+  /// verify, and the secret's MAC-key half -> its HmacKey for sign.
+  mutable KeyTable verify_keys_;
+  mutable KeyTable sign_keys_;
 };
 
 }  // namespace

@@ -74,8 +74,8 @@ struct ProtocolCounters {
 
   // Relay-core mechanism counters ("g2g.*"). They describe how the run was
   // computed (frame codec traffic, heavy-HMAC chains run), not what it
-  // computed, so core::to_json(ExperimentResult) excludes them alongside the
-  // fastpath.* cache counters.
+  // computed, so core::to_json(ExperimentResult) excludes them, as it does
+  // the fastpath.* prefix.
   Counter* frames_encoded;       ///< handshake/audit frames encoded
   Counter* frames_decoded;       ///< handshake/audit frames decoded
   Counter* heavy_hmac_computed;  ///< heavy-HMAC chains storage-proof decisions ran

@@ -18,16 +18,14 @@
 #include "g2g/sim/traffic.hpp"
 #include "g2g/trace/contact.hpp"
 
-namespace g2g::crypto {
-class CachingSuite;
-}
-
 namespace g2g::proto {
 
 struct NetworkConfig {
   NodeConfig node;
   /// Signature suite; the fast symmetric emulation by default (simulation
-  /// sweeps), make_schnorr_suite() for the real public-key path.
+  /// sweeps), make_schnorr_suite() for the real public-key path. A
+  /// make_fast_suite() instance keeps per-run key state: give each network
+  /// its own, or leave this null and the network builds one.
   crypto::SuitePtr suite;
   /// Communities for the "selfish with outsiders" behaviours (typically the
   /// k-clique communities detected on the trace).
@@ -135,9 +133,6 @@ class NetworkBase : public Env {
   /// generated with, filled once per message by schedule_traffic.
   std::unordered_map<MessageHash, MessageId, HashPrefix> hash_to_id_;
   std::unique_ptr<crypto::Authority> authority_;
-  /// The per-run verification memo wrapped around config.suite; run()
-  /// flushes its hit/miss stats into the fastpath.* registry counters.
-  std::shared_ptr<crypto::CachingSuite> suite_cache_;
   std::vector<ProtocolNode*> generic_nodes_;
   const trace::ContactTrace* trace_;
   /// Private fallback when config.obs is null (counters still collected).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "g2g/crypto/verify_cache.hpp"
 #include "g2g/proto/relay/pom.hpp"
 #include "g2g/util/log.hpp"
 
@@ -34,12 +33,8 @@ NetworkBase::NetworkBase(const trace::ContactTrace& trace, NetworkConfig config,
       trace_(&trace) {
   if (!trace.finalized()) throw std::invalid_argument("trace must be finalized");
   if (node_count_ < 2) throw std::invalid_argument("need at least 2 nodes");
+  // A FastSuite keeps per-key HMAC state, so every run builds its own.
   if (!config_.suite) config_.suite = crypto::make_fast_suite();
-  // Per-run memo: the same PoR / declaration / certificate is verified by
-  // many nodes; verification is pure, so repeats are answered from the
-  // cache. Invisible to results (see crypto/verify_cache.hpp).
-  suite_cache_ = crypto::make_caching_suite(config_.suite);
-  config_.suite = suite_cache_;
   if (config_.obs != nullptr) {
     obs_ = config_.obs;
   } else {
@@ -168,12 +163,6 @@ void NetworkBase::run() {
       config_.horizon == TimePoint::zero() ? trace_->end_time() : config_.horizon;
   for (ProtocolNode* n : generic_nodes_) n->finalize(end);
   obs_->tracer.close_message_spans(end);
-  // Flushed once after the run; these counters live under the fastpath.*
-  // prefix, which core::to_json(ExperimentResult) excludes: they describe how
-  // the run was computed, not what it computed.
-  const crypto::CachingSuite::Stats& s = suite_cache_->stats();
-  obs_->registry.counter("fastpath.verify_cache.hits").add(s.verify_hits);
-  obs_->registry.counter("fastpath.verify_cache.misses").add(s.verify_misses);
 }
 
 bool NetworkBase::open_session(Session& s, ProtocolNode& a, ProtocolNode& b) {

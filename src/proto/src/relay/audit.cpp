@@ -100,11 +100,10 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     if (resp.pors.size() >= host_.config().relay_fanout) {
       // Audit the chain through one verify_batch call: structurally broken
       // PoRs are rejected up front, the rest go to the suite together (the
-      // caching suite answers repeats from its memo and forwards only fresh
-      // signatures inward). Verdicts, counters, and trace order are
-      // identical to a per-PoR verify loop. Signed payloads are built in the
-      // arena and stay valid through the batch call (no reset until the next
-      // challenge).
+      // Schnorr suite folds them into one batch equation). Verdicts,
+      // counters, and trace order are identical to a per-PoR verify loop.
+      // Signed payloads are built in the arena and stay valid through the
+      // batch call (no reset until the next challenge).
       std::vector<crypto::VerifyRequest> requests;
       std::vector<std::size_t> request_of(resp.pors.size(), SIZE_MAX);
       requests.reserve(resp.pors.size());

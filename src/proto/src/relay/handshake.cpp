@@ -103,6 +103,9 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
       continue;  // declined or aborted; accounting done
     }
 
+    // Room for a relay's whole fan-out at once (a source's is unbounded by
+    // default, so it gets the same start and grows past it).
+    if (hold.pors.empty()) hold.pors.reserve(std::min(fanout, host_.config().relay_fanout));
     hold.pors.push_back(out->por);
     // Step 5: KEY.
     host_.counters().handshakes_completed->add();

@@ -15,7 +15,6 @@
 
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/suite.hpp"
-#include "g2g/crypto/verify_cache.hpp"
 #include "reference_suite.hpp"
 
 namespace g2g::crypto {
@@ -124,25 +123,6 @@ TEST_F(RsBatchSuite, FastPathOffMatchesFastPathOn) {
   }
 }
 
-TEST_F(RsBatchSuite, CachingWrapperComposesWithRsBatch) {
-  // The caching suite forwards distinct misses in one inner verify_batch
-  // call, which for the RS suite is the folded equation; repeats come from
-  // the memo. Verdicts must be identical either way.
-  const CachingSuite cached(suite_);
-  auto corpus = make_corpus(*suite_, 6, 6);
-  corpus[4].sig[8] ^= 0x04;
-  auto reqs = requests_of(corpus);
-  reqs.push_back(reqs[0]);  // repeat: second round answered from the memo
-  reqs.push_back(reqs[4]);
-  bool verdicts[8];
-  cached.verify_batch(reqs, verdicts);
-  cached.verify_batch(reqs, verdicts);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(verdicts[i], i != 4 && i != 7) << "index " << i;
-  }
-  EXPECT_GT(cached.stats().verify_hits, 0u);
-}
-
 TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
   // The full adversarial matrix (forge at every index, replay, truncation)
   // through the engine's Montgomery multi-exp batch ("on") and the reference
@@ -176,31 +156,6 @@ TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
       }
     }
   }
-}
-
-TEST_F(RsBatchSuite, CacheCounterSemanticsIdenticalWithMontgomeryOnAndOff) {
-  // The fastpath.* obs counters are flushed from CachingSuite stats at the
-  // end of a run; identical request streams must produce identical hit/miss
-  // accounting whether the engine or the reference suite answered the misses.
-  CachingSuite::Stats stats_on;
-  CachingSuite::Stats stats_off;
-  for (const bool mont : {true, false}) {
-    const CachingSuite cached(mont ? suite_ : reference_);
-    auto corpus = make_corpus(*suite_, 6, 30);
-    corpus[3].sig[12] ^= 0x08;
-    auto reqs = requests_of(corpus);
-    reqs.push_back(reqs[1]);  // intra-batch repeat: dedup accounting
-    bool verdicts[7];
-    cached.verify_batch(reqs, verdicts);
-    cached.verify_batch(reqs, verdicts);  // second round answered by the memo
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      EXPECT_EQ(verdicts[i], i != 3) << "mont=" << mont << ", index " << i;
-    }
-    (mont ? stats_on : stats_off) = cached.stats();
-  }
-  EXPECT_EQ(stats_on.verify_hits, stats_off.verify_hits);
-  EXPECT_EQ(stats_on.verify_misses, stats_off.verify_misses);
-  EXPECT_GT(stats_on.verify_hits, 0u);
 }
 
 // Cross-suite differential: the engine suite and the free-function reference

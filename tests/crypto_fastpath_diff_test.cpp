@@ -5,9 +5,10 @@
 // batch against heavy_hmac_reference, the storage-proof decision
 // heavy_hmac_agree against two reference digests, the Montgomery kernels, fixed-base
 // tables and multi_exp against the schoolbook mod/mul_mod/pow_mod, the
-// SchnorrEngine against the free schnorr_* functions, and the verification
-// cache against its inner suite. Golden vectors anchor both sides to the
-// standards; randomized corpora compare them over thousands of inputs.
+// SchnorrEngine against the free schnorr_* functions, and the FastSuite key
+// schedule against signatures built directly from hmac_sha256. Golden
+// vectors anchor both sides to the standards; randomized corpora compare
+// them over thousands of inputs.
 // The final tests close the loop end to end on full experiments.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "g2g/core/experiment.hpp"
@@ -26,7 +28,6 @@
 #include "g2g/crypto/sha256.hpp"
 #include "g2g/crypto/suite.hpp"
 #include "g2g/crypto/uint256.hpp"
-#include "g2g/crypto/verify_cache.hpp"
 #include "reference_suite.hpp"
 
 namespace g2g::crypto {
@@ -550,66 +551,97 @@ TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
   }
 }
 
-// -- The verification cache ---------------------------------------------------
+// -- The FastSuite key schedule ----------------------------------------------
 
-TEST(FastPathDiff, CachingSuiteVerdictsMatchInnerSuite) {
-  const auto cached = make_caching_suite(make_fast_suite());
-  const SuitePtr plain = make_fast_suite();
-  Rng rng(31);
-  const KeyPair kp = cached->keygen(rng);
-  const Bytes msg = to_bytes("message body");
-  const Bytes sig = cached->sign(kp.secret_key, msg);
-  Bytes bad_sig = sig;
-  bad_sig[0] ^= 1;
+// FastSuite from its definition, one hmac_sha256 call per step: the MAC key
+// K_pub = HMAC(seed, pub) with the seed as 8 little-endian bytes, and a
+// signature HMAC(K_pub, msg).
+struct FastSuiteOracle {
+  Bytes seed;
 
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_TRUE(cached->verify(kp.public_key, msg, sig));
-    EXPECT_FALSE(cached->verify(kp.public_key, msg, bad_sig));
-    EXPECT_EQ(cached->verify(kp.public_key, msg, sig),
-              plain->verify(kp.public_key, msg, sig));
+  explicit FastSuiteOracle(std::uint64_t s) {
+    Writer w(8);
+    w.u64(s);
+    seed = std::move(w).take();
   }
-  // Two distinct entries (good + bad) across 9 verify calls: 2 misses, the
-  // other 7 answered from the memo.
-  EXPECT_EQ(cached->stats().verify_misses, 2u);
-  EXPECT_EQ(cached->stats().verify_hits, 7u);
+  [[nodiscard]] Digest mac_key(BytesView pub) const { return hmac_sha256(seed, pub); }
+  [[nodiscard]] Bytes sign(BytesView pub, BytesView msg) const {
+    return digest_bytes(hmac_sha256(digest_view(mac_key(pub)), msg));
+  }
+  [[nodiscard]] bool verify(BytesView pub, BytesView msg, BytesView sig) const {
+    return Bytes(sig.begin(), sig.end()) == sign(pub, msg);
+  }
+};
 
-  // Key agreement passes straight through to the inner suite.
-  const KeyPair peer = cached->keygen(rng);
-  EXPECT_EQ(cached->shared_secret(kp.secret_key, peer.public_key),
-            plain->shared_secret(kp.secret_key, peer.public_key));
-}
-
-TEST(FastPathDiff, CachingSuiteBatchMatchesLoop) {
-  const auto cached = make_caching_suite(make_fast_suite());
-  const SuitePtr plain = make_fast_suite();
-  Rng rng(77);
+TEST(FastPathDiff, FastSuiteKeyScheduleMatchesHmacOracle) {
+  constexpr std::uint64_t kSeed = 0x5C4ED;
+  const SuitePtr suite = make_fast_suite(kSeed);
+  const FastSuiteOracle oracle(kSeed);
+  Rng rng(0xF457);
   std::vector<KeyPair> keys;
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> sigs;
-  for (int i = 0; i < 12; ++i) {
-    keys.push_back(cached->keygen(rng));
-    msgs.push_back(random_bytes(rng, 40));
-    Bytes sig = cached->sign(keys.back().secret_key, msgs.back());
-    if (i % 4 == 3) sig[1] ^= 0x80;  // sprinkle invalid signatures
-    sigs.push_back(std::move(sig));
+  for (int i = 0; i < 100; ++i) {
+    keys.push_back(suite->keygen(rng));
+    const KeyPair& kp = keys.back();
+    const Digest k = oracle.mac_key(kp.public_key);
+    Bytes secret = kp.public_key;
+    secret.insert(secret.end(), k.begin(), k.end());
+    ASSERT_EQ(kp.secret_key, secret) << i;
   }
-  // Mix of fresh entries and repeats (every request appears twice).
-  std::vector<VerifyRequest> requests;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      requests.push_back({keys[i].public_key, msgs[i], sigs[i]});
+  // Keys drawn at random, so each one misses its table once and hits after;
+  // verify often reaches a key before its owner first signs, and the flipped
+  // public keys add entries no signer ever fills.
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const KeyPair& kp = keys[rng.below(keys.size())];
+    const Bytes msg = random_bytes(rng, 1 + rng.below(200));
+    const Bytes sig = suite->sign(kp.secret_key, msg);
+    ASSERT_EQ(sig, oracle.sign(kp.public_key, msg)) << i;
+    EXPECT_TRUE(suite->verify(kp.public_key, msg, sig)) << i;
+
+    Bytes bad_sig = sig;
+    bad_sig[i % bad_sig.size()] ^= 0x01;
+    Bytes bad_msg = msg;
+    bad_msg[i % bad_msg.size()] ^= 0x10;
+    Bytes bad_pub = kp.public_key;
+    bad_pub[i % bad_pub.size()] ^= 0x80;
+    for (const auto& [pub, m, s] : {std::tuple{BytesView(kp.public_key), BytesView(msg),
+                                               BytesView(bad_sig)},
+                                    std::tuple{BytesView(kp.public_key), BytesView(bad_msg),
+                                               BytesView(sig)},
+                                    std::tuple{BytesView(bad_pub), BytesView(msg),
+                                               BytesView(sig)}}) {
+      EXPECT_FALSE(suite->verify(pub, m, s)) << i;
+      EXPECT_EQ(suite->verify(pub, m, s), oracle.verify(pub, m, s)) << i;
     }
   }
-  std::vector<char> batch(requests.size(), 0);
-  cached->verify_batch(requests, reinterpret_cast<bool*>(batch.data()));
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(static_cast<bool>(batch[i]),
-              plain->verify(requests[i].public_key, requests[i].message,
-                            requests[i].signature))
-        << i;
+
+  const KeyPair& kp = keys.front();
+  const Bytes msg = to_bytes("message body");
+  const Bytes sig = suite->sign(kp.secret_key, msg);
+  // A signature of the wrong size is rejected before any key lookup.
+  for (const std::size_t n : {0u, 31u, 33u, 64u}) {
+    Bytes resized = sig;
+    resized.resize(n, 0);
+    EXPECT_FALSE(suite->verify(kp.public_key, msg, resized)) << n;
   }
-  EXPECT_EQ(cached->stats().verify_misses, keys.size());
-  EXPECT_EQ(cached->stats().verify_hits, keys.size());
+  // A public key that is not 32 bytes is derived without the table and still
+  // gets the oracle's verdict, whether its 32-byte prefix is cached or not.
+  for (const std::size_t n : {0u, 31u, 33u}) {
+    Bytes pub = kp.public_key;
+    pub.resize(n, 0x5a);
+    const Bytes good = oracle.sign(pub, msg);
+    EXPECT_TRUE(suite->verify(pub, msg, good)) << n;
+    EXPECT_FALSE(suite->verify(pub, msg, sig)) << n;
+  }
+  // Key agreement is symmetric and equals HMAC(seed, sorted pubs).
+  const KeyPair& peer = keys.back();
+  const bool kp_first = kp.public_key < peer.public_key;
+  Bytes sorted = kp_first ? kp.public_key : peer.public_key;
+  const Bytes& second = kp_first ? peer.public_key : kp.public_key;
+  sorted.insert(sorted.end(), second.begin(), second.end());
+  EXPECT_EQ(suite->shared_secret(kp.secret_key, peer.public_key),
+            digest_bytes(hmac_sha256(oracle.seed, sorted)));
+  EXPECT_EQ(suite->shared_secret(peer.secret_key, kp.public_key),
+            digest_bytes(hmac_sha256(oracle.seed, sorted)));
 }
 
 // -- End to end: the serialized experiment is the oracle ----------------------
@@ -641,9 +673,25 @@ TEST(FastPathDiff, ExperimentJsonBitIdenticalWithRsSuiteBatchOnAndOff) {
   cfg.suite = make_reference_schnorr_suite(SchnorrGroup::small_group());
   const std::string reference = core::to_json(core::run_experiment(cfg));
   EXPECT_EQ(engine, reference);
-  // The verify-cache counters exist in the obs registry but are excluded
-  // from the result JSON, so this comparison stays byte-exact.
+  // Mechanism counters (fastpath.*, g2g.*) stay out of the result JSON, so
+  // this comparison is byte-exact.
   EXPECT_EQ(engine.find("fastpath."), std::string::npos);
+}
+
+TEST(FastPathDiff, OneFastSuiteAcrossTwoNetworksMatchesFreshSuites) {
+  // A FastSuite's key schedule outlives a run when the caller passes the
+  // suite in. Later networks on the same suite, with new keys (seed 12) and
+  // with every key already scheduled (seed 11 again), must serialize exactly
+  // like runs that each built their own suite.
+  core::ExperimentConfig cfg = diff_config();
+  const SuitePtr shared = make_fast_suite();
+  for (const std::uint64_t seed : {11u, 12u, 11u}) {
+    cfg.seed = seed;
+    cfg.suite = nullptr;
+    const std::string fresh = core::to_json(core::run_experiment(cfg));
+    cfg.suite = shared;
+    EXPECT_EQ(core::to_json(core::run_experiment(cfg)), fresh) << "seed " << seed;
+  }
 }
 
 TEST(FastPathDiff, ForwardingMetricsIdenticalOnFastAndSchnorrSuites) {

@@ -143,7 +143,7 @@ TEST(Parallel, ContentionStressDrainsAllAndRethrowsLowest) {
         // Uneven spin: make some cells slower so shard drain rates diverge
         // and thieves pile onto the loaded shards.
         volatile std::size_t sink = 0;
-        for (std::size_t k = 0; k < (i % 7) * 50; ++k) sink += k;
+        for (std::size_t k = 0; k < (i % 7) * 50; ++k) sink = sink + k;
         if (i % 97 == kFirstFailure % 97 && i >= kFirstFailure) {
           throw std::runtime_error("fail at " + std::to_string(i));
         }
