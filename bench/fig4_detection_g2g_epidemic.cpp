@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     // Whole-figure sweep: every (dropper count, outsiders, seed) run goes
-    // through one work-stealing pool instead of per-cell round-robins.
+    // through one sweep pool instead of per-cell round-robins.
     const std::vector<std::size_t> counts =
         bench::dropper_counts(scen.trace_config.nodes, opt.quick, /*include_zero=*/false);
     std::vector<SweepCell> cells;

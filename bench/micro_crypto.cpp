@@ -30,14 +30,12 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
 
-// One-shot SHA-256 on the scalar FIPS 180-4 rounds (the kScalar backend),
+// One-shot SHA-256 on the scalar FIPS 180-4 rounds (sha256_compress_scalar),
 // padded the same way as Sha256::finish.
 Digest sha256_scalar(const Bytes& data) {
   std::array<std::uint32_t, 8> state = kSha256InitState;
-  std::uint32_t* st = state.data();
-  const std::uint8_t* blk = data.data();
   const std::size_t whole = data.size() / 64;
-  sha256_compress_multi(&st, &blk, 1, whole, Sha256MultiBackend::kScalar);
+  sha256_compress_scalar(state.data(), data.data(), whole);
   std::array<std::uint8_t, 128> pad{};
   const std::size_t rest = data.size() - 64 * whole;
   std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(64 * whole), rest, pad.begin());
@@ -47,8 +45,7 @@ Digest sha256_scalar(const Bytes& data) {
   for (std::size_t i = 0; i < 8; ++i) {
     pad[64 * pad_blocks - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
   }
-  blk = pad.data();
-  sha256_compress_multi(&st, &blk, 1, pad_blocks, Sha256MultiBackend::kScalar);
+  sha256_compress_scalar(state.data(), pad.data(), pad_blocks);
   Digest out{};
   for (std::size_t i = 0; i < 32; ++i) {
     out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
@@ -148,57 +145,6 @@ void BM_SchnorrVerifyNoTable(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerifyNoTable);
 
-// One batch of `n` distinct (key, message, signature) triples through the
-// Schnorr suite's randomized-linear-combination verify_batch. Per-signature
-// time = total / n; compare with BM_SchnorrBatchPerSig at the same arg.
-void BM_SchnorrRsBatchVerify(benchmark::State& state) {
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::default_group());
-  Rng rng(8);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<KeyPair> keys;
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> sigs;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(suite->keygen(rng));
-    msgs.push_back(Bytes(40, static_cast<std::uint8_t>(i)));
-    sigs.push_back(suite->sign(keys[i].secret_key, msgs[i]));
-  }
-  std::vector<VerifyRequest> requests;
-  for (std::size_t i = 0; i < n; ++i) requests.push_back({keys[i].public_key, msgs[i], sigs[i]});
-  std::vector<char> verdicts(n);
-  for (auto _ : state) {
-    suite->verify_batch(requests, reinterpret_cast<bool*>(verdicts.data()));
-    benchmark::DoNotOptimize(verdicts.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SchnorrRsBatchVerify)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-// The same batch checked one signature at a time (the per-signature verify
-// loop): the baseline the batch check is measured against.
-void BM_SchnorrBatchPerSig(benchmark::State& state) {
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::default_group());
-  Rng rng(8);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<KeyPair> keys;
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> sigs;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(suite->keygen(rng));
-    msgs.push_back(Bytes(40, static_cast<std::uint8_t>(i)));
-    sigs.push_back(suite->sign(keys[i].secret_key, msgs[i]));
-  }
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      benchmark::DoNotOptimize(suite->verify(keys[i].public_key, msgs[i], sigs[i]));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SchnorrBatchPerSig)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
 void BM_FastSuiteSign(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(3);
@@ -239,22 +185,6 @@ void BM_FastSuiteVerifyRoster(benchmark::State& state) {
                           static_cast<std::int64_t>(keys.size()));
 }
 BENCHMARK(BM_FastSuiteVerifyRoster);
-
-// A full audit round of storage-proof chains through the multi-lane batch;
-// per-chain time = total / jobs. Compare with BM_HeavyHmac at the same
-// iteration count for the lane-parallel win.
-void BM_HeavyHmacBatch(benchmark::State& state) {
-  const Bytes msg(512, 0x11);
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  std::vector<Bytes> seeds;
-  for (std::size_t j = 0; j < jobs; ++j) seeds.push_back(Bytes(16, static_cast<std::uint8_t>(j)));
-  std::vector<HeavyHmacJob> views;
-  for (std::size_t j = 0; j < jobs; ++j) views.push_back({msg, seeds[j], 1024});
-  for (auto _ : state) benchmark::DoNotOptimize(heavy_hmac_batch(views));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(jobs));
-}
-BENCHMARK(BM_HeavyHmacBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_SealedBoxRoundTrip(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();

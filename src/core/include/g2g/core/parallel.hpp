@@ -2,13 +2,12 @@
 //
 // Individual experiments are strictly single-threaded and deterministic; a
 // sweep over configurations (a figure's x axis, a seed ensemble) is
-// embarrassingly parallel. The pool shards the index space into contiguous
-// per-worker slices with atomic cursors; a worker that drains its own shard
-// steals from the most-loaded remaining shard (ties broken by a per-shard
-// RNG stream), so a handful of slow cells cannot idle the rest of the
+// embarrassingly parallel. The pool's workers claim indices from one shared
+// atomic cursor, one at a time, so a worker that finishes a cell takes the
+// next unclaimed one and a handful of slow cells cannot idle the rest of the
 // machine. Reduction is chunked: each run is folded into a compact summary
 // as soon as it finishes, and summaries are reduced sequentially in index
-// order — results are bit-identical regardless of the steal pattern, and a
+// order — results are bit-identical whichever worker ran which index, and a
 // million-run sweep never holds a million full ExperimentResults.
 //
 // Failure semantics: a throwing run never abandons work. Every index is
@@ -28,7 +27,7 @@
 namespace g2g::core {
 
 /// Run body(i) for every i in [0, count) on up to `threads` workers
-/// (0 = hardware concurrency) using the work-stealing shard pool. All
+/// (0 = hardware concurrency), each claiming the next unclaimed index. All
 /// indices run even if some throw; afterwards the exception with the lowest
 /// index is rethrown on the calling thread.
 void sharded_for(std::size_t count, std::size_t threads,

@@ -7,19 +7,9 @@
 #include <mutex>
 #include <thread>
 
-#include "g2g/util/rng.hpp"
-
 namespace g2g::core {
 
 namespace {
-
-struct Shard {
-  // g2g-lint: allow(no-adhoc-atomic) -- work-stealing claim cursor, not a
-  // counter; reduction is in index order, so the steal pattern never shows
-  // up in results.
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-};
 
 /// Compact per-run record: everything run_repeated's aggregation reads from
 /// an ExperimentResult, in a few dozen bytes. Folding into these as runs
@@ -78,67 +68,31 @@ void sharded_for(std::size_t count, std::size_t threads,
   }
   threads = std::min(threads, count);
 
-  // Contiguous shards: worker s owns [s*count/T, (s+1)*count/T). Contiguity
-  // keeps each worker on a coherent slice of the sweep until stealing starts.
-  std::vector<Shard> shards(threads);
-  for (std::size_t s = 0; s < threads; ++s) {
-    shards[s].next.store(count * s / threads, std::memory_order_relaxed);
-    shards[s].end = count * (s + 1) / threads;
-  }
-
+  // One shared claim cursor: each worker takes the next unclaimed index
+  // until none is left. Reduction is in index order, so the claim pattern
+  // never shows up in results.
+  // g2g-lint: allow(no-adhoc-atomic) -- work-distribution cursor, not a counter
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
 
-  const auto run_index = [&](std::size_t i) {
-    try {
-      body(i);
-    } catch (...) {
-      const std::scoped_lock lock(error_mutex);
-      errors.emplace_back(i, std::current_exception());
-    }
-  };
-
-  const auto worker = [&](std::size_t self) {
-    // Drain the owned shard first.
-    for (;;) {
-      const std::size_t i = shards[self].next.fetch_add(1);
-      if (i >= shards[self].end) break;
-      run_index(i);
-    }
-    // Steal: prefer the most-loaded victim; break ties with a per-shard RNG
-    // stream so concurrent thieves spread out instead of convoying.
-    Rng steal_rng(0x57EA1BA5EULL ^ self);
-    for (;;) {
-      std::size_t victim = threads;
-      std::size_t victim_left = 0;
-      std::size_t ties = 0;
-      for (std::size_t s = 0; s < threads; ++s) {
-        if (s == self) continue;
-        const std::size_t cursor = shards[s].next.load(std::memory_order_relaxed);
-        const std::size_t left = cursor < shards[s].end ? shards[s].end - cursor : 0;
-        if (left > victim_left) {
-          victim = s;
-          victim_left = left;
-          ties = 1;
-        } else if (left != 0 && left == victim_left) {
-          // Reservoir pick among equally-loaded victims.
-          ++ties;
-          if (steal_rng.below(ties) == 0) victim = s;
-        }
+  const auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::scoped_lock lock(error_mutex);
+        errors.emplace_back(i, std::current_exception());
       }
-      if (victim == threads) return;  // nothing left anywhere
-      const std::size_t i = shards[victim].next.fetch_add(1);
-      if (i >= shards[victim].end) continue;  // lost the race; rescan
-      run_index(i);
     }
   };
 
   if (threads == 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
 

@@ -60,13 +60,11 @@ struct HeavyHmacJob {
   std::uint32_t iterations;
 };
 
-/// Compute several independent heavy-HMAC chains, digests in job order. Each
-/// chain iteration is exactly three SHA-256 compressions from cached pad
-/// states, so independent chains run in lockstep through the multi-lane
-/// compressor (sha256_compress_multi) in groups of kSha256MaxLanes. Every
-/// digest is bit-identical to heavy_hmac / heavy_hmac_reference on the same
-/// inputs. The simulator decides storage proofs through heavy_hmac_agree;
-/// the batch serves the benchmark's chain-cost probe.
+/// Compute several independent heavy-HMAC chains, digests in job order: a
+/// loop over heavy_hmac, so every digest is bit-identical to heavy_hmac /
+/// heavy_hmac_reference on the same inputs. The simulator decides storage
+/// proofs through heavy_hmac_agree; the batch serves only the benchmark's
+/// chain-cost probe.
 [[nodiscard]] std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs);
 
 /// Constant-time digest comparison.

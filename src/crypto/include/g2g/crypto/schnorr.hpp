@@ -4,20 +4,19 @@
 // (it suggests elliptic-curve signatures). We substitute a finite-field
 // Schnorr scheme: identical protocol role (existentially unforgeable
 // signatures for proofs of relay / misbehaviour, certificates), different
-// group. Signatures use the (R, s) form, the only one that batch-verifies.
+// group. Signatures use the (R, s) form.
 // Parameters are generated deterministically and are simulation-grade, NOT
 // production-secure (see DESIGN.md).
 //
 // Two routes compute the same keys, signatures and verdicts: SchnorrEngine
-// (fixed-base tables, cached Montgomery parameters, randomized batch
-// verification) runs in the suite, and the free schnorr_keygen /
+// (fixed-base tables, cached Montgomery parameters) runs in the suite and
+// verifies one signature at a time, and the free schnorr_keygen /
 // schnorr_rs_sign / schnorr_rs_verify functions stay as its test oracle.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "g2g/crypto/montgomery.hpp"
@@ -55,8 +54,7 @@ struct SchnorrKeyPair {
 
 /// (R, s)-form Schnorr signature: transmits the commitment R = g^k rather
 /// than the challenge e = H(R || m). The verifier checks the group equation
-/// g^s * y^e == R directly, so independent signatures can be combined into
-/// one randomized multi-exponentiation (verify_batch_rs).
+/// g^s * y^e == R directly.
 struct SchnorrSignatureRS {
   U256 r;  ///< commitment R = g^k mod p
   U256 s;  ///< response   s = (k - x*e) mod q, with e = H(R || m) mod q
@@ -104,32 +102,10 @@ class FixedBaseTable {
   std::optional<MontgomeryParams> mont_;
 };
 
-/// One base/exponent pair for multi_exp.
-struct MultiExpTerm {
-  U256 base;
-  U256 exponent;
-};
-
-/// Simultaneous multi-exponentiation: Π base_i^(exp_i) mod m with per-term
-/// 4-bit window tables and one shared squaring chain scanned from the most
-/// significant nibble down. Exact: bit-identical to folding pow_mod results
-/// together with mul_mod.
-[[nodiscard]] U256 multi_exp(std::span<const MultiExpTerm> terms, const U256& modulus);
-
-/// One signature for SchnorrEngine::verify_batch_rs. `message` must stay
-/// valid for the duration of the call.
-struct SchnorrRSVerifyItem {
-  U256 public_key;
-  // g2g-lint: allow(view-escape) -- borrowed for the duration of one verify_batch_rs call
-  BytesView message;
-  SchnorrSignatureRS sig;
-};
-
 /// Per-group precomputation for the hot Schnorr operations: a fixed-base
 /// table for g sized to exponents mod q (keygen's g^x, sign's g^k, verify's
 /// g^s are all bounded by q), plus cached MontgomeryParams for p and q so
-/// variable-base powers (y^e), modular products, and the batch combination
-/// all run in Montgomery form. Produces byte-identical keys/signatures/
+/// variable-base powers (y^e) and modular products run in Montgomery form. Produces byte-identical keys/signatures/
 /// verdicts to the free functions above — the accelerators only change how
 /// each canonical residue is computed.
 class SchnorrEngine {
@@ -141,15 +117,6 @@ class SchnorrEngine {
   [[nodiscard]] SchnorrSignatureRS sign_rs(const U256& secret, BytesView message, Rng& rng) const;
   [[nodiscard]] bool verify_rs(const U256& public_key, BytesView message,
                                const SchnorrSignatureRS& sig) const;
-  /// Randomized-linear-combination batch verification of (R, s) signatures:
-  /// checks g^(Σ z_i·s_i) · Π y_i^(z_i·e_i) == Π R_i^(z_i) with deterministic
-  /// 64-bit coefficients z_i derived Fiat–Shamir style from the batch
-  /// transcript (so runs are reproducible). Returns true iff the combined
-  /// equation holds — a cheating batch passes with probability ~2^-64 per
-  /// coefficient. Returns false whenever ANY signature is structurally or
-  /// cryptographically invalid; callers needing per-item verdicts fall back
-  /// to verify_rs on reject. Empty batches vacuously verify.
-  [[nodiscard]] bool verify_batch_rs(std::span<const SchnorrRSVerifyItem> items) const;
 
  private:
   [[nodiscard]] U256 pow_g(const U256& exponent) const;

@@ -38,7 +38,10 @@ struct KeyPair {
 };
 
 /// One verification job for Suite::verify_batch. The views must stay valid for
-/// the duration of the call.
+/// the duration of the call. Nothing under src/ builds one: the type and
+/// verify_batch stay only because the benchmark's TimingSuite
+/// (repro_bench/src/timing_suite.hpp) overrides verify_batch. Both go with
+/// the benchmark change of ROADMAP item 4.
 struct VerifyRequest {
   // g2g-lint: allow(view-escape) -- borrowed for the duration of one verify_batch call
   BytesView public_key;
@@ -60,11 +63,9 @@ class Suite {
   [[nodiscard]] virtual bool verify(BytesView public_key, BytesView message,
                                     BytesView signature) const = 0;
   /// Verify a batch of signatures, writing one verdict per request.
-  /// `verdicts` must have room for `requests.size()` entries. The default
-  /// simply loops over verify(); overrides use the batch shape to amortize
-  /// work: the Schnorr suite folds the whole batch into one randomized
-  /// multi-exponentiation and falls back to per-signature checks only when
-  /// the combined equation rejects, so verdicts stay exact per request.
+  /// `verdicts` must have room for `requests.size()` entries. A loop over
+  /// verify() that no suite overrides and nothing under src/ calls; it
+  /// stays only for the benchmark's TimingSuite override (ROADMAP item 4).
   virtual void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       verdicts[i] = verify(requests[i].public_key, requests[i].message,
@@ -84,8 +85,7 @@ using SuitePtr = std::shared_ptr<const Suite>;
 struct SchnorrGroup;  // schnorr.hpp
 
 /// Real (R, s)-form Schnorr/DH suite over the given group (default_group()
-/// if omitted). Signatures transmit the commitment R, which lets
-/// verify_batch run one randomized batch check.
+/// if omitted).
 [[nodiscard]] SuitePtr make_schnorr_suite();
 [[nodiscard]] SuitePtr make_schnorr_suite(const SchnorrGroup& group);
 /// Symmetric emulation suite; `seed` is the suite-wide MAC-key seed. Not

@@ -78,117 +78,11 @@ Digest heavy_hmac_reference(BytesView message, BytesView seed, std::uint32_t ite
   return h;
 }
 
-namespace {
-
-void store_state_be(const std::uint32_t* state, std::uint8_t* out) {
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
-  }
-}
-
-/// Per-lane chain state. Each iteration of heavy_hmac's fast chain is exactly
-/// three compressions with fixed block shapes:
-///   inner: data block h || m_digest, then a constant pad block (128 fed bytes)
-///   outer: one block inner_digest || 0x80-pad || bit length 768
-/// buf_a pre-bakes the m_digest half and the inner pad block, so only the
-/// 32-byte h prefix changes per iteration; buf_c pre-bakes the outer padding.
-struct HeavyLane {
-  std::array<std::uint32_t, 8> inner0{};  // chaining state after the ipad block
-  std::array<std::uint32_t, 8> outer0{};  // chaining state after the opad block
-  std::array<std::uint32_t, 8> state_inner{};
-  std::array<std::uint32_t, 8> state_outer{};
-  std::array<std::uint8_t, 128> buf_a{};
-  std::array<std::uint8_t, 64> buf_c{};
-  Digest h{};
-  std::uint32_t iterations = 0;
-  std::size_t job = 0;
-};
-
-/// Lockstep chunk of at most kSha256MaxLanes chains.
-void run_heavy_lanes(std::span<HeavyLane> lanes, std::vector<Digest>& out) {
-  std::uint32_t* states[kSha256MaxLanes];
-  const std::uint8_t* blocks[kSha256MaxLanes];
-
-  for (std::uint32_t t = 0;; ++t) {
-    // Lanes finish in place once their iteration count is reached; the
-    // active prefix shrinks as shorter chains complete.
-    std::size_t active = 0;
-    for (auto& ln : lanes) {
-      if (ln.iterations > t) {
-        std::copy(ln.h.begin(), ln.h.end(), ln.buf_a.begin());
-        ln.state_inner = ln.inner0;
-        states[active] = ln.state_inner.data();
-        blocks[active] = ln.buf_a.data();
-        ++active;
-      }
-    }
-    if (active == 0) break;
-    sha256_compress_multi(states, blocks, active, 2);
-
-    std::size_t slot = 0;
-    for (auto& ln : lanes) {
-      if (ln.iterations > t) {
-        store_state_be(ln.state_inner.data(), ln.buf_c.data());
-        ln.state_outer = ln.outer0;
-        states[slot] = ln.state_outer.data();
-        blocks[slot] = ln.buf_c.data();
-        ++slot;
-      }
-    }
-    sha256_compress_multi(states, blocks, active, 1);
-
-    for (auto& ln : lanes) {
-      if (ln.iterations > t) store_state_be(ln.state_outer.data(), ln.h.data());
-    }
-  }
-
-  for (const auto& ln : lanes) out[ln.job] = ln.h;
-}
-
-}  // namespace
-
 std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs) {
-  std::vector<Digest> out(jobs.size());
-  std::array<HeavyLane, kSha256MaxLanes> lanes;
-  for (std::size_t base = 0; base < jobs.size(); base += kSha256MaxLanes) {
-    const std::size_t n = std::min(kSha256MaxLanes, jobs.size() - base);
-    for (std::size_t l = 0; l < n; ++l) {
-      const HeavyHmacJob& job = jobs[base + l];
-      HeavyLane& ln = lanes[l];
-      ln.job = base + l;
-      ln.iterations = job.iterations;
-
-      const auto k = normalize_key(job.seed);
-      std::array<std::uint8_t, kBlockSize> pad{};
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-      }
-      ln.inner0 = kSha256InitState;
-      std::uint32_t* st = ln.inner0.data();
-      const std::uint8_t* blk = pad.data();
-      sha256_compress_multi(&st, &blk, 1, 1);
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-      }
-      ln.outer0 = kSha256InitState;
-      st = ln.outer0.data();
-      sha256_compress_multi(&st, &blk, 1, 1);
-
-      const Digest m_digest = sha256(job.message);
-      ln.buf_a.fill(0);
-      std::copy(m_digest.begin(), m_digest.end(), ln.buf_a.begin() + 32);
-      ln.buf_a[64] = 0x80;
-      ln.buf_a[126] = 0x04;  // 128 fed bytes = 1024 bits, big-endian
-      ln.buf_c.fill(0);
-      ln.buf_c[32] = 0x80;
-      ln.buf_c[62] = 0x03;  // 96 fed bytes = 768 bits, big-endian
-
-      ln.h = hmac_sha256(job.seed, job.message);  // H_0
-    }
-    run_heavy_lanes(std::span<HeavyLane>(lanes.data(), n), out);
+  std::vector<Digest> out;
+  out.reserve(jobs.size());
+  for (const HeavyHmacJob& job : jobs) {
+    out.push_back(heavy_hmac(job.message, job.seed, job.iterations));
   }
   return out;
 }

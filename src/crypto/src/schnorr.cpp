@@ -1,6 +1,5 @@
 #include "g2g/crypto/schnorr.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -124,8 +123,7 @@ SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret
 bool schnorr_rs_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
                        const SchnorrSignatureRS& sig) {
   if (sig.s >= group.q || sig.r >= group.p || sig.r.is_zero()) return false;
-  // e = H(R || m);   valid iff g^s * y^e == R (a group equation, so several
-  // signatures can be folded into one randomized combination — verify_batch_rs).
+  // e = H(R || m);   valid iff g^s * y^e == R.
   const U256 e = challenge(group, sig.r, message);
   const U256 gs = pow_mod_fast(group.g, sig.s, group.p);
   const U256 ye = pow_mod_fast(public_key, e, group.p);
@@ -154,44 +152,6 @@ FixedBaseTable::FixedBaseTable(const U256& base, const U256& modulus, std::size_
       for (auto& entry : window) entry = to_mont(entry, *mont_);
     }
   }
-}
-
-U256 multi_exp(std::span<const MultiExpTerm> terms, const U256& modulus) {
-  if (terms.empty()) return U256(1);
-  // An odd modulus runs the whole schedule in the Montgomery domain: every
-  // intermediate is the Montgomery image of the mul_mod intermediate, so the
-  // final from_mont is bit-identical.
-  std::optional<MontgomeryParams> mont;
-  if (modulus.bit(0) && modulus != U256(1)) mont = MontgomeryParams::for_modulus(modulus);
-  const auto mul = [&](const U256& a, const U256& b) {
-    return mont ? mont_mul(a, b, *mont) : mul_mod(a, b, modulus);
-  };
-  // Per-term window table: pows[i][d] = base_i^d for d in 1..15.
-  std::vector<std::array<U256, 16>> pows(terms.size());
-  std::size_t max_bits = 0;
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    // Both conversions reduce bases >= m.
-    pows[i][1] = mont ? to_mont(terms[i].base, *mont) : mod(terms[i].base, modulus);
-    for (int d = 2; d < 16; ++d) pows[i][d] = mul(pows[i][d - 1], pows[i][1]);
-    max_bits = std::max(max_bits, terms[i].exponent.bit_length());
-  }
-  U256 result = mont ? mont->one : U256(1);
-  bool started = false;
-  for (std::size_t w = (max_bits + 3) / 4; w-- > 0;) {
-    if (started) {
-      for (int sq = 0; sq < 4; ++sq) result = mul(result, result);
-    }
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      const std::size_t bit = 4 * w;
-      const unsigned digit =
-          static_cast<unsigned>(terms[i].exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
-      if (digit != 0) {
-        result = mul(result, pows[i][digit]);
-        started = true;
-      }
-    }
-  }
-  return mont ? from_mont(result, *mont) : result;
 }
 
 U256 FixedBaseTable::pow(const U256& exponent) const {
@@ -263,69 +223,6 @@ bool SchnorrEngine::verify_rs(const U256& public_key, BytesView message,
   const U256 gs = pow_g(sig.s);
   const U256 ye = pow_p(public_key, e);
   return mul_p(gs, ye) == sig.r;
-}
-
-namespace {
-
-/// Deterministic nonzero 64-bit batch coefficients, Fiat–Shamir style: a
-/// transcript digest commits to every (y_i, R_i, s_i, H(m_i)) in order, then
-/// z_i = first 8 bytes of SHA256(transcript || i). Determinism keeps
-/// simulation runs bit-reproducible; an adversary who controls the batch
-/// contents still cannot aim for specific coefficients without inverting the
-/// hash, which is the standard small-exponent soundness setting.
-std::vector<std::uint64_t> batch_coefficients(std::span<const SchnorrRSVerifyItem> items) {
-  Writer t(32 + 128 * items.size());
-  t.raw(BytesView(reinterpret_cast<const std::uint8_t*>("g2g/batch-rs/v1"), 15));
-  t.u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& it : items) {
-    t.raw(it.public_key.to_bytes_be());
-    t.raw(it.sig.r.to_bytes_be());
-    t.raw(it.sig.s.to_bytes_be());
-    t.raw(digest_view(sha256(it.message)));
-  }
-  const Digest transcript = sha256(t.bytes());
-  std::vector<std::uint64_t> z(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    Writer w(36);
-    w.raw(digest_view(transcript));
-    w.u32(static_cast<std::uint32_t>(i));
-    const Digest d = sha256(w.bytes());
-    std::uint64_t zi = 0;
-    for (int b = 0; b < 8; ++b) zi = (zi << 8) | d[b];
-    z[i] = zi == 0 ? 1 : zi;  // zero would drop the term from the combination
-  }
-  return z;
-}
-
-}  // namespace
-
-bool SchnorrEngine::verify_batch_rs(std::span<const SchnorrRSVerifyItem> items) const {
-  if (items.empty()) return true;
-  if (items.size() == 1) return verify_rs(items[0].public_key, items[0].message, items[0].sig);
-  for (const auto& it : items) {
-    if (it.sig.s >= group_.q || it.sig.r >= group_.p || it.sig.r.is_zero()) return false;
-    if (it.public_key >= group_.p || it.public_key.is_zero()) return false;
-  }
-  const std::vector<std::uint64_t> z = batch_coefficients(items);
-  // Check g^(Σ z_i·s_i) · Π y_i^(z_i·e_i) == Π R_i^(z_i)  (mod p).
-  // The g exponent folds mod q (g has order q); the y exponents stay as full
-  // z_i·e_i products (< 2^224) so the check never assumes an adversarial y_i
-  // lies in the order-q subgroup.
-  U256 s_acc(0);
-  std::vector<MultiExpTerm> lhs_terms(items.size());
-  std::vector<MultiExpTerm> rhs_terms(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const U256 zi(z[i]);
-    s_acc = add_mod(s_acc, mul_q(zi, items[i].sig.s), group_.q);
-    const U256 e = challenge(group_, items[i].sig.r, items[i].message);
-    const U512 ze = mul_full(zi, e);
-    U256 ze256;
-    for (int l = 0; l < 4; ++l) ze256.limb[l] = ze.limb[l];  // z·e < 2^224
-    lhs_terms[i] = MultiExpTerm{items[i].public_key, ze256};
-    rhs_terms[i] = MultiExpTerm{items[i].sig.r, zi};
-  }
-  const U256 lhs = mul_p(pow_g(s_acc), multi_exp(lhs_terms, group_.p));
-  return lhs == multi_exp(rhs_terms, group_.p);
 }
 
 }  // namespace g2g::crypto

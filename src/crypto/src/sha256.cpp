@@ -6,7 +6,6 @@
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define G2G_HAVE_SHA_NI 1
-#define G2G_HAVE_AVX2 1
 #include <immintrin.h>
 #endif
 
@@ -31,8 +30,7 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-/// Scalar FIPS 180-4 compression of one 64-byte block into `state`. The
-/// reference rounds every accelerated path must match bit-for-bit.
+/// Scalar FIPS 180-4 compression of one 64-byte block into `state`.
 void compress_block_scalar(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
@@ -139,223 +137,11 @@ __attribute__((target("sha,sse4.1"))) void compress_blocks_shani(std::uint32_t* 
 }
 #endif  // G2G_HAVE_SHA_NI
 
-#if defined(G2G_HAVE_SHA_NI)
-// Multi-buffer SHA-NI: runs up to kSha256MaxLanes independent chains through
-// the hardware rounds with the per-round work interleaved across lanes. One
-// chain serializes on the sha256rnds2 latency chain; interleaving independent
-// chains fills those latency bubbles, which is where the multi-lane win comes
-// from on SHA-NI hardware. Bit-identical to compressing each lane alone.
-__attribute__((target("sha,sse4.1"))) void compress_multi_shani(std::uint32_t* const* states,
-                                                                const std::uint8_t* const* blocks,
-                                                                std::size_t lanes,
-                                                                std::size_t count) {
-  const __m128i kByteswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-
-  __m128i state0[kSha256MaxLanes];
-  __m128i state1[kSha256MaxLanes];
-  for (std::size_t l = 0; l < lanes; ++l) {
-    __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&states[l][0]));     // DCBA
-    __m128i s1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&states[l][4]));      // HGFE
-    tmp = _mm_shuffle_epi32(tmp, 0xB1);                                                 // CDAB
-    s1 = _mm_shuffle_epi32(s1, 0x1B);                                                   // EFGH
-    state0[l] = _mm_alignr_epi8(tmp, s1, 8);                                            // ABEF
-    state1[l] = _mm_blend_epi16(s1, tmp, 0xF0);                                         // CDGH
-  }
-
-  for (std::size_t blk = 0; blk < count; ++blk) {
-    __m128i save0[kSha256MaxLanes];
-    __m128i save1[kSha256MaxLanes];
-    __m128i msg[kSha256MaxLanes][4];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      save0[l] = state0[l];
-      save1[l] = state1[l];
-    }
-    for (int g = 0; g < 4; ++g) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::uint8_t* data = blocks[l] + 64 * blk;
-        msg[l][g] = _mm_shuffle_epi8(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), kByteswap);
-        __m128i wk = _mm_add_epi32(
-            msg[l][g], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
-        state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], wk);
-        wk = _mm_shuffle_epi32(wk, 0x0E);
-        state0[l] = _mm_sha256rnds2_epu32(state0[l], state1[l], wk);
-      }
-    }
-    for (int g = 4; g < 16; ++g) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const __m128i m0 = msg[l][g & 3];
-        const __m128i m1 = msg[l][(g + 1) & 3];
-        const __m128i m2 = msg[l][(g + 2) & 3];
-        const __m128i m3 = msg[l][(g + 3) & 3];
-        __m128i w = _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8(m3, m2, 4));
-        w = _mm_sha256msg2_epu32(w, m3);
-        msg[l][g & 3] = w;
-        __m128i wk =
-            _mm_add_epi32(w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
-        state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], wk);
-        wk = _mm_shuffle_epi32(wk, 0x0E);
-        state0[l] = _mm_sha256rnds2_epu32(state0[l], state1[l], wk);
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      state0[l] = _mm_add_epi32(state0[l], save0[l]);
-      state1[l] = _mm_add_epi32(state1[l], save1[l]);
-    }
-  }
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    __m128i tmp = _mm_shuffle_epi32(state0[l], 0x1B);                                   // FEBA
-    __m128i s1 = _mm_shuffle_epi32(state1[l], 0xB1);                                    // DCHG
-    const __m128i out0 = _mm_blend_epi16(tmp, s1, 0xF0);                                // DCBA
-    const __m128i out1 = _mm_alignr_epi8(s1, tmp, 8);                                   // HGFE
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&states[l][0]), out0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&states[l][4]), out1);
-  }
-}
-#endif  // G2G_HAVE_SHA_NI
-
-#if defined(G2G_HAVE_AVX2)
-// AVX2 4-lane SIMD kernel: transposed layout, one 32-bit element per lane in
-// each vector, so the scalar FIPS 180-4 rounds run verbatim on all lanes at
-// once. Lanes beyond `lanes` are padded with lane 0 and never stored back.
-// The macros (instead of helper lambdas) keep every intrinsic inside this
-// target("avx2") function so nothing fails to inline across target levels.
-#define G2G_VROTR(x, n) _mm_or_si128(_mm_srli_epi32((x), (n)), _mm_slli_epi32((x), 32 - (n)))
-__attribute__((target("avx2"))) void compress_multi_avx2(std::uint32_t* const* states,
-                                                         const std::uint8_t* const* blocks,
-                                                         std::size_t lanes, std::size_t count) {
-  const std::uint8_t* lane_blocks[kSha256MaxLanes];
-  for (std::size_t l = 0; l < kSha256MaxLanes; ++l) {
-    lane_blocks[l] = blocks[l < lanes ? l : 0];
-  }
-
-  // hs[j] holds state word j for all four lanes.
-  __m128i hs[8];
-  alignas(16) std::uint32_t tmp[4];
-  for (int j = 0; j < 8; ++j) {
-    hs[j] = _mm_set_epi32(static_cast<int>(states[3 < lanes ? 3 : 0][j]),
-                          static_cast<int>(states[2 < lanes ? 2 : 0][j]),
-                          static_cast<int>(states[1 < lanes ? 1 : 0][j]),
-                          static_cast<int>(states[0][j]));
-  }
-
-  for (std::size_t blk = 0; blk < count; ++blk) {
-    __m128i w[64];
-    for (int i = 0; i < 16; ++i) {
-      std::uint32_t lw[kSha256MaxLanes];
-      for (std::size_t l = 0; l < kSha256MaxLanes; ++l) {
-        const std::uint8_t* b = lane_blocks[l] + 64 * blk + 4 * i;
-        lw[l] = (static_cast<std::uint32_t>(b[0]) << 24) |
-                (static_cast<std::uint32_t>(b[1]) << 16) |
-                (static_cast<std::uint32_t>(b[2]) << 8) | static_cast<std::uint32_t>(b[3]);
-      }
-      w[i] = _mm_set_epi32(static_cast<int>(lw[3]), static_cast<int>(lw[2]),
-                           static_cast<int>(lw[1]), static_cast<int>(lw[0]));
-    }
-    for (int i = 16; i < 64; ++i) {
-      const __m128i w15 = w[i - 15];
-      const __m128i w2 = w[i - 2];
-      const __m128i s0 =
-          _mm_xor_si128(_mm_xor_si128(G2G_VROTR(w15, 7), G2G_VROTR(w15, 18)),
-                        _mm_srli_epi32(w15, 3));
-      const __m128i s1 =
-          _mm_xor_si128(_mm_xor_si128(G2G_VROTR(w2, 17), G2G_VROTR(w2, 19)),
-                        _mm_srli_epi32(w2, 10));
-      w[i] = _mm_add_epi32(_mm_add_epi32(w[i - 16], s0), _mm_add_epi32(w[i - 7], s1));
-    }
-
-    __m128i a = hs[0], b = hs[1], c = hs[2], d = hs[3];
-    __m128i e = hs[4], f = hs[5], g = hs[6], h = hs[7];
-
-    for (int i = 0; i < 64; ++i) {
-      const __m128i s1 =
-          _mm_xor_si128(_mm_xor_si128(G2G_VROTR(e, 6), G2G_VROTR(e, 11)), G2G_VROTR(e, 25));
-      const __m128i ch = _mm_xor_si128(_mm_and_si128(e, f), _mm_andnot_si128(e, g));
-      const __m128i t1 = _mm_add_epi32(
-          _mm_add_epi32(_mm_add_epi32(h, s1), _mm_add_epi32(ch, w[i])),
-          _mm_set1_epi32(static_cast<int>(kK[i])));
-      const __m128i s0 =
-          _mm_xor_si128(_mm_xor_si128(G2G_VROTR(a, 2), G2G_VROTR(a, 13)), G2G_VROTR(a, 22));
-      const __m128i maj = _mm_xor_si128(
-          _mm_xor_si128(_mm_and_si128(a, b), _mm_and_si128(a, c)), _mm_and_si128(b, c));
-      const __m128i t2 = _mm_add_epi32(s0, maj);
-      h = g;
-      g = f;
-      f = e;
-      e = _mm_add_epi32(d, t1);
-      d = c;
-      c = b;
-      b = a;
-      a = _mm_add_epi32(t1, t2);
-    }
-
-    hs[0] = _mm_add_epi32(hs[0], a);
-    hs[1] = _mm_add_epi32(hs[1], b);
-    hs[2] = _mm_add_epi32(hs[2], c);
-    hs[3] = _mm_add_epi32(hs[3], d);
-    hs[4] = _mm_add_epi32(hs[4], e);
-    hs[5] = _mm_add_epi32(hs[5], f);
-    hs[6] = _mm_add_epi32(hs[6], g);
-    hs[7] = _mm_add_epi32(hs[7], h);
-  }
-
-  for (int j = 0; j < 8; ++j) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), hs[j]);
-    for (std::size_t l = 0; l < lanes; ++l) states[l][j] = tmp[l];
-  }
-}
-#undef G2G_VROTR
-#endif  // G2G_HAVE_AVX2
-
 }  // namespace
 
-bool sha256_multi_backend_available(Sha256MultiBackend backend) {
-  switch (backend) {
-    case Sha256MultiBackend::kShaNi:
-      return sha_ni_available();
-    case Sha256MultiBackend::kAvx2:
-      return avx2_available();
-    case Sha256MultiBackend::kAuto:
-    case Sha256MultiBackend::kScalar:
-      return true;
-  }
-  return false;
-}
-
-void sha256_compress_multi(std::uint32_t* const* states, const std::uint8_t* const* blocks,
-                           std::size_t lanes, std::size_t blocks_per_lane,
-                           Sha256MultiBackend backend) {
-  if (lanes == 0 || blocks_per_lane == 0) return;
-
-  Sha256MultiBackend resolved = backend;
-  if (resolved == Sha256MultiBackend::kAuto) {
-    if (sha_ni_available()) {
-      resolved = Sha256MultiBackend::kShaNi;
-    } else if (avx2_available() && lanes >= 2) {
-      resolved = Sha256MultiBackend::kAvx2;
-    } else {
-      resolved = Sha256MultiBackend::kScalar;
-    }
-  }
-
-#if defined(G2G_HAVE_SHA_NI)
-  if (resolved == Sha256MultiBackend::kShaNi && sha_ni_available()) {
-    compress_multi_shani(states, blocks, lanes, blocks_per_lane);
-    return;
-  }
-#endif
-#if defined(G2G_HAVE_AVX2)
-  if (resolved == Sha256MultiBackend::kAvx2 && avx2_available()) {
-    compress_multi_avx2(states, blocks, lanes, blocks_per_lane);
-    return;
-  }
-#endif
-  for (std::size_t l = 0; l < lanes; ++l) {
-    for (std::size_t b = 0; b < blocks_per_lane; ++b) {
-      compress_block_scalar(states[l], blocks[l] + 64 * b);
-    }
-  }
+void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) compress_block_scalar(state, blocks + 64 * i);
 }
 
 void Sha256::reset() {
@@ -364,8 +150,6 @@ void Sha256::reset() {
   buffered_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t block[64]) { compress_block_scalar(state_.data(), block); }
-
 void Sha256::compress_many(const std::uint8_t* blocks, std::size_t count) {
 #if defined(G2G_HAVE_SHA_NI)
   if (sha_ni_available()) {
@@ -373,7 +157,7 @@ void Sha256::compress_many(const std::uint8_t* blocks, std::size_t count) {
     return;
   }
 #endif
-  for (std::size_t i = 0; i < count; ++i) compress(blocks + 64 * i);
+  sha256_compress_scalar(state_.data(), blocks, count);
 }
 
 void Sha256::update(BytesView data) {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 #include <unordered_map>
-#include <vector>
 
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/schnorr.hpp"
@@ -40,31 +39,6 @@ class SchnorrSuite final : public Suite {
     if (signature.size() != 64 || public_key.size() != 32) return false;
     return engine_.verify_rs(U256::from_bytes_be(public_key), message,
                              SchnorrSignatureRS::decode(signature));
-  }
-
-  void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const override {
-    // The combined check only pays off past one signature.
-    if (requests.size() > 1) {
-      std::vector<SchnorrRSVerifyItem> items;
-      items.reserve(requests.size());
-      bool well_formed = true;
-      for (const auto& r : requests) {
-        if (r.signature.size() != 64 || r.public_key.size() != 32) {
-          well_formed = false;
-          break;
-        }
-        items.push_back(SchnorrRSVerifyItem{U256::from_bytes_be(r.public_key), r.message,
-                                            SchnorrSignatureRS::decode(r.signature)});
-      }
-      if (well_formed && engine_.verify_batch_rs(items)) {
-        std::fill_n(verdicts, requests.size(), true);
-        return;
-      }
-      // Batch reject (or malformed input): localize per signature.
-    }
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      verdicts[i] = verify(requests[i].public_key, requests[i].message, requests[i].signature);
-    }
   }
 
   Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {

@@ -168,6 +168,8 @@ class Session {
   [[nodiscard]] bool exhausted() const { return used_ >= budget_; }
   [[nodiscard]] std::size_t bytes_used() const { return used_; }
 
+  /// The other endpoint. Throws std::logic_error if `n` is neither endpoint,
+  /// so no charge lands on the wrong node.
   [[nodiscard]] ProtocolNode& peer_of(const ProtocolNode& n);
 
  private:

@@ -1,8 +1,8 @@
 // AuditEngine: the (Delta1, Delta2] test-by-sender machinery (Fig. 2).
 //
 // One engine per node owns the pending-test registry and runs both sides of
-// the audit: the source's challenge loop (POR_RQST frames, PoR batch
-// verification through Suite::verify_batch, storage-proof recomputation) and
+// the audit: the source's challenge loop (POR_RQST frames, one
+// Suite::verify per presented PoR, storage-proof recomputation) and
 // the relay's response (present PoRs and/or a heavy-HMAC storage proof).
 // Both frames cross the session seam (Session::send/recv). The source decides
 // a storage proof at challenge time with crypto::heavy_hmac_agree: an honest

@@ -43,21 +43,26 @@ void Session::transfer(ProtocolNode& from, std::size_t bytes, obs::WireKind kind
 
 void Session::sent(ProtocolNode& from, std::size_t size, obs::WireKind kind,
                    bool control_signed) {
+  ProtocolNode& to = peer_of(from);  // throws before anything is charged
   env_.obs().counters.frames_encoded->add();
   if (control_signed) {
     size += from.identity().suite().signature_size();
     from.count_signature();
-    peer_of(from).count_verification();
+    to.count_verification();
   }
   transfer(from, size, kind);
 }
 
 void Session::received(const ProtocolNode& to) {
-  if (&to != &a_ && &to != &b_) throw std::logic_error("frame received outside its session");
+  (void)peer_of(to);  // throws for a node outside the session
   env_.obs().counters.frames_decoded->add();
 }
 
-ProtocolNode& Session::peer_of(const ProtocolNode& n) { return &n == &a_ ? b_ : a_; }
+ProtocolNode& Session::peer_of(const ProtocolNode& n) {
+  if (&n == &a_) return b_;
+  if (&n == &b_) return a_;
+  throw std::logic_error("node is not an endpoint of this session");
+}
 
 ProtocolNode::ProtocolNode(Env& env, crypto::NodeIdentity identity, NodeConfig config,
                            BehaviorConfig behavior)

@@ -1,13 +1,12 @@
-// Adversarial batch-verification tests for the Schnorr suite.
-//
-// The randomized-linear-combination check folds a whole batch into one
-// multi-exponentiation; these tests pin the two properties the protocol
-// layer depends on:
-//  * a batch containing any forged signature must reject, and the
-//    per-signature fallback must localize the exact bad index;
-//  * the suite's verdicts must agree with the free-function reference suite
-//    (reference_suite.hpp), which checks one signature at a time, on the
-//    same corpora (same keys, same nonces, same corruption pattern).
+// Adversarial verification tests for the Schnorr suite over corpora
+// ("batches") of signatures, each checked with Suite::verify, as the
+// sender's PoR audit does. They pin the two properties the protocol layer
+// depends on:
+//  * a forged, replayed or malformed signature is rejected at exactly its
+//    own index, and every other signature in the corpus still verifies;
+//  * the engine suite's verdicts agree with the free-function reference
+//    suite (reference_suite.hpp) on the same corpora (same keys, same
+//    nonces, same corruption pattern).
 #include <string>
 #include <vector>
 
@@ -42,13 +41,11 @@ std::vector<SignedItem> make_corpus(const Suite& suite, std::size_t n, std::uint
   return out;
 }
 
-std::vector<VerifyRequest> requests_of(const std::vector<SignedItem>& corpus) {
-  std::vector<VerifyRequest> reqs;
-  for (const auto& c : corpus) {
-    reqs.push_back(VerifyRequest{BytesView(c.kp.public_key), BytesView(c.msg),
-                                 BytesView(c.sig)});
-  }
-  return reqs;
+/// One Suite::verify verdict per corpus item, in order.
+std::vector<bool> verdicts_of(const Suite& suite, const std::vector<SignedItem>& corpus) {
+  std::vector<bool> out;
+  for (const auto& c : corpus) out.push_back(suite.verify(c.kp.public_key, c.msg, c.sig));
+  return out;
 }
 
 class RsBatchSuite : public ::testing::Test {
@@ -59,25 +56,20 @@ class RsBatchSuite : public ::testing::Test {
 
 TEST_F(RsBatchSuite, AllValidBatchAcceptsEveryIndex) {
   const auto corpus = make_corpus(*suite_, 16, 1);
-  const auto reqs = requests_of(corpus);
-  bool verdicts[16];
-  suite_->verify_batch(reqs, verdicts);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
+  const auto verdicts = verdicts_of(*suite_, corpus);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_TRUE(verdicts[i]) << "index " << i;
   }
 }
 
 TEST_F(RsBatchSuite, ForgedSignatureLocalizedToExactIndex) {
-  // One forged signature anywhere in the batch: the combined equation
-  // rejects, the fallback re-checks each item, and only the forged index
+  // One forged signature anywhere in the corpus: only the forged index
   // reads false.
   for (std::size_t bad = 0; bad < 8; ++bad) {
     auto corpus = make_corpus(*suite_, 8, 2);
     corpus[bad].sig[40] ^= 0x01;
-    const auto reqs = requests_of(corpus);
-    bool verdicts[8];
-    suite_->verify_batch(reqs, verdicts);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto verdicts = verdicts_of(*suite_, corpus);
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
       EXPECT_EQ(verdicts[i], i != bad) << "forged " << bad << ", index " << i;
     }
   }
@@ -86,10 +78,8 @@ TEST_F(RsBatchSuite, ForgedSignatureLocalizedToExactIndex) {
 TEST_F(RsBatchSuite, SignatureReplayAcrossMessagesLocalized) {
   auto corpus = make_corpus(*suite_, 6, 3);
   corpus[2].sig = corpus[4].sig;  // valid signature, wrong message/key
-  const auto reqs = requests_of(corpus);
-  bool verdicts[6];
-  suite_->verify_batch(reqs, verdicts);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
+  const auto verdicts = verdicts_of(*suite_, corpus);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_EQ(verdicts[i], i != 2) << "index " << i;
   }
 }
@@ -98,25 +88,20 @@ TEST_F(RsBatchSuite, MalformedLengthsLocalizedWithoutDerailingBatch) {
   auto corpus = make_corpus(*suite_, 5, 4);
   corpus[1].sig.pop_back();               // wrong signature size
   corpus[3].kp.public_key.push_back(0);   // wrong public-key size
-  const auto reqs = requests_of(corpus);
-  bool verdicts[5];
-  suite_->verify_batch(reqs, verdicts);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
+  const auto verdicts = verdicts_of(*suite_, corpus);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_EQ(verdicts[i], i != 1 && i != 3) << "index " << i;
   }
 }
 
 TEST_F(RsBatchSuite, FastPathOffMatchesFastPathOn) {
-  // The engine's batch check against the reference per-signature loop.
+  // The engine suite's verdicts against the reference suite's.
   for (std::size_t bad : {std::size_t{0}, std::size_t{5}}) {
     auto corpus = make_corpus(*suite_, 6, 5);
     corpus[bad].sig[10] ^= 0x80;
-    const auto reqs = requests_of(corpus);
-    bool fast[6];
-    bool slow[6];
-    suite_->verify_batch(reqs, fast);
-    reference_->verify_batch(reqs, slow);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto fast = verdicts_of(*suite_, corpus);
+    const auto slow = verdicts_of(*reference_, corpus);
+    for (std::size_t i = 0; i < fast.size(); ++i) {
       EXPECT_EQ(fast[i], slow[i]) << "bad " << bad << ", index " << i;
       EXPECT_EQ(fast[i], i != bad);
     }
@@ -125,9 +110,9 @@ TEST_F(RsBatchSuite, FastPathOffMatchesFastPathOn) {
 
 TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
   // The full adversarial matrix (forge at every index, replay, truncation)
-  // through the engine's Montgomery multi-exp batch ("on") and the reference
-  // suite's per-signature ladder checks ("off"): the verdict vectors must be
-  // identical element for element.
+  // through the engine's Montgomery tables ("on") and the reference suite's
+  // free functions ("off"): the verdict vectors must be identical element
+  // for element.
   enum class Tamper { kForge, kReplay, kTruncate };
   for (const Tamper tamper : {Tamper::kForge, Tamper::kReplay, Tamper::kTruncate}) {
     for (std::size_t bad = 0; bad < 6; ++bad) {
@@ -143,12 +128,9 @@ TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
           corpus[bad].sig.pop_back();
           break;
       }
-      const auto reqs = requests_of(corpus);
-      bool mont_on[6];
-      bool mont_off[6];
-      suite_->verify_batch(reqs, mont_on);
-      reference_->verify_batch(reqs, mont_off);
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const auto mont_on = verdicts_of(*suite_, corpus);
+      const auto mont_off = verdicts_of(*reference_, corpus);
+      for (std::size_t i = 0; i < mont_on.size(); ++i) {
         EXPECT_EQ(mont_on[i], mont_off[i])
             << "tamper " << static_cast<int>(tamper) << ", bad " << bad << ", index " << i;
         EXPECT_EQ(mont_on[i], i != bad)
@@ -184,12 +166,8 @@ TEST(CrossSuiteDifferential, VerdictsAgreeOnSameCorpora) {
         corpus_rs[i].msg[0] ^= 0x55;
       }
     }
-    const auto reqs_es = requests_of(corpus_es);
-    const auto reqs_rs = requests_of(corpus_rs);
-    bool verdict_es[8];
-    bool verdict_rs[8];
-    es->verify_batch(reqs_es, verdict_es);
-    rs->verify_batch(reqs_rs, verdict_rs);
+    const auto verdict_es = verdicts_of(*es, corpus_es);
+    const auto verdict_rs = verdicts_of(*rs, corpus_rs);
     for (std::size_t i = 0; i < 8; ++i) {
       EXPECT_EQ(verdict_es[i], verdict_rs[i]) << "seed " << seed << ", index " << i;
       EXPECT_EQ(verdict_rs[i], !bad[i]) << "seed " << seed << ", index " << i;
@@ -198,9 +176,8 @@ TEST(CrossSuiteDifferential, VerdictsAgreeOnSameCorpora) {
 }
 
 TEST(CrossSuiteDifferential, VerdictsAgreeWithMontgomeryOnAndOff) {
-  // The cross-suite matrix again on the full-size default group, through
-  // both verify_batch and per-signature verify: all four verdict vectors —
-  // reference and engine, batched and one at a time — must agree.
+  // The cross-suite matrix again on the full-size default group: the
+  // reference and engine verdicts must agree.
   const SuitePtr es = make_reference_schnorr_suite(SchnorrGroup::default_group());
   const SuitePtr rs = make_schnorr_suite(SchnorrGroup::default_group());
   auto corpus_es = make_corpus(*es, 8, 50);
@@ -209,23 +186,11 @@ TEST(CrossSuiteDifferential, VerdictsAgreeWithMontgomeryOnAndOff) {
     corpus_es[i].msg[0] ^= 0x55;
     corpus_rs[i].msg[0] ^= 0x55;
   }
-  const auto reqs_es = requests_of(corpus_es);
-  const auto reqs_rs = requests_of(corpus_rs);
-  bool es_on[8];
-  bool es_off[8];
-  bool rs_on[8];
-  bool rs_off[8];
-  es->verify_batch(reqs_es, es_on);
-  rs->verify_batch(reqs_rs, rs_on);
+  const auto es_verdicts = verdicts_of(*es, corpus_es);
+  const auto rs_verdicts = verdicts_of(*rs, corpus_rs);
   for (std::size_t i = 0; i < 8; ++i) {
-    es_off[i] = es->verify(reqs_es[i].public_key, reqs_es[i].message, reqs_es[i].signature);
-    rs_off[i] = rs->verify(reqs_rs[i].public_key, reqs_rs[i].message, reqs_rs[i].signature);
-  }
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(es_on[i], es_off[i]) << "index " << i;
-    EXPECT_EQ(rs_on[i], rs_off[i]) << "index " << i;
-    EXPECT_EQ(es_on[i], rs_on[i]) << "index " << i;
-    EXPECT_EQ(es_on[i], i != 1 && i != 6) << "index " << i;
+    EXPECT_EQ(es_verdicts[i], rs_verdicts[i]) << "index " << i;
+    EXPECT_EQ(es_verdicts[i], i != 1 && i != 6) << "index " << i;
   }
 }
 

@@ -1,12 +1,13 @@
 // Differential tests pinning every accelerated crypto routine to its named
 // oracle. The accelerated code is the only runtime path; each test calls it
-// and its reference side by side: SHA-NI/AVX2 compression against the
-// kScalar backend, the precomputed-pad heavy HMAC chain and its multi-lane
-// batch against heavy_hmac_reference, the storage-proof decision
-// heavy_hmac_agree against two reference digests, the Montgomery kernels, fixed-base
-// tables and multi_exp against the schoolbook mod/mul_mod/pow_mod, the
-// SchnorrEngine against the free schnorr_* functions, and the FastSuite key
-// schedule against signatures built directly from hmac_sha256. Golden
+// and its reference side by side: SHA-NI compression against the scalar
+// rounds (sha256_compress_scalar), the precomputed-pad heavy HMAC chain and
+// the probe's heavy_hmac_batch against heavy_hmac_reference, the
+// storage-proof decision heavy_hmac_agree against two reference digests, the
+// Montgomery kernels and fixed-base tables against the schoolbook
+// mod/mul_mod/pow_mod, the SchnorrEngine against the free schnorr_*
+// functions, and the FastSuite key schedule against signatures built
+// directly from hmac_sha256. Golden
 // vectors anchor both sides to the standards; randomized corpora compare
 // them over thousands of inputs.
 // The final tests close the loop end to end on full experiments.
@@ -51,15 +52,13 @@ std::string hex(const Digest& d) {
 
 // -- SHA-256 ------------------------------------------------------------------
 
-// One-shot SHA-256 on the scalar FIPS 180-4 rounds (the kScalar backend of
-// sha256_compress_multi), padded independently of Sha256::finish: the oracle
-// for the single-buffer Sha256 context and its SHA-NI dispatch.
+// One-shot SHA-256 on the scalar FIPS 180-4 rounds (sha256_compress_scalar),
+// padded independently of Sha256::finish: the oracle for the Sha256 context
+// and its SHA-NI dispatch.
 Digest sha256_scalar(BytesView data) {
   std::array<std::uint32_t, 8> state = kSha256InitState;
-  std::uint32_t* st = state.data();
-  const std::uint8_t* blk = data.data();
   const std::size_t whole = data.size() / 64;
-  sha256_compress_multi(&st, &blk, 1, whole, Sha256MultiBackend::kScalar);
+  sha256_compress_scalar(state.data(), data.data(), whole);
   std::array<std::uint8_t, 128> pad{};
   const std::size_t rest = data.size() - 64 * whole;
   std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(64 * whole), rest, pad.begin());
@@ -69,8 +68,7 @@ Digest sha256_scalar(BytesView data) {
   for (std::size_t i = 0; i < 8; ++i) {
     pad[64 * pad_blocks - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
   }
-  blk = pad.data();
-  sha256_compress_multi(&st, &blk, 1, pad_blocks, Sha256MultiBackend::kScalar);
+  sha256_compress_scalar(state.data(), pad.data(), pad_blocks);
   Digest out{};
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
@@ -159,53 +157,9 @@ TEST(FastPathDiff, HeavyHmacMatchesReference) {
   }
 }
 
-// -- Multi-lane SHA-256 compression -------------------------------------------
-
-TEST(FastPathDiff, MultiLaneCompressionBitIdenticalAcrossBackends) {
-  // Every available backend must produce the same states as running the
-  // scalar compression on each lane independently — for any lane count up to
-  // kSha256MaxLanes and for multi-block runs.
-  Rng rng(0x1a9e5);
-  for (std::size_t lanes = 1; lanes <= kSha256MaxLanes; ++lanes) {
-    for (std::size_t blocks_per_lane = 1; blocks_per_lane <= 3; ++blocks_per_lane) {
-      std::vector<Bytes> data(lanes);
-      std::vector<std::array<std::uint32_t, 8>> ref_states(lanes);
-      for (std::size_t ln = 0; ln < lanes; ++ln) {
-        data[ln] = random_bytes(rng, 64 * blocks_per_lane);
-        ref_states[ln] = kSha256InitState;
-        for (std::size_t i = 0; i < 8; ++i) ref_states[ln][i] += static_cast<std::uint32_t>(ln);
-      }
-      // Reference: one scalar call per lane.
-      std::vector<std::array<std::uint32_t, 8>> expect = ref_states;
-      for (std::size_t ln = 0; ln < lanes; ++ln) {
-        std::uint32_t* state = expect[ln].data();
-        const std::uint8_t* block = data[ln].data();
-        sha256_compress_multi(&state, &block, 1, blocks_per_lane,
-                              Sha256MultiBackend::kScalar);
-      }
-      for (const auto backend : {Sha256MultiBackend::kAuto, Sha256MultiBackend::kShaNi,
-                                 Sha256MultiBackend::kAvx2, Sha256MultiBackend::kScalar}) {
-        std::vector<std::array<std::uint32_t, 8>> got = ref_states;
-        std::vector<std::uint32_t*> states;
-        std::vector<const std::uint8_t*> blocks;
-        for (std::size_t ln = 0; ln < lanes; ++ln) {
-          states.push_back(got[ln].data());
-          blocks.push_back(data[ln].data());
-        }
-        sha256_compress_multi(states.data(), blocks.data(), lanes, blocks_per_lane, backend);
-        for (std::size_t ln = 0; ln < lanes; ++ln) {
-          EXPECT_EQ(got[ln], expect[ln])
-              << "backend " << static_cast<int>(backend) << ", lanes " << lanes
-              << ", blocks " << blocks_per_lane << ", lane " << ln;
-        }
-      }
-    }
-  }
-}
-
 TEST(FastPathDiff, HeavyHmacBatchMatchesReferencePerJob) {
-  // Job counts 1..7 cross the lane-group boundary; mixed iteration counts
-  // make lanes retire at different times within a group.
+  // Job counts 1..7 with mixed iteration counts: every digest comes back in
+  // job order.
   Rng rng(0xbadc0de);
   for (std::size_t jobs = 1; jobs <= 7; ++jobs) {
     std::vector<Bytes> msgs;
@@ -358,7 +312,7 @@ TEST(FastPathDiff, SchnorrRsSuiteSignaturesIdenticalFastOnAndOff) {
 // mod-param-diff-coverage lint rule requires every such routine to be named
 // here. Covered: mod, add_mod, sub_mod, mul_mod, pow_mod, pow_mod_fast,
 // MontgomeryParams::for_modulus, mont_mul, to_mont, from_mont, mont_pow,
-// FixedBaseTable, multi_exp. The classic schoolbook reducers in uint256.cpp
+// FixedBaseTable. The classic schoolbook reducers in uint256.cpp
 // are the oracle; the Montgomery kernels must match them bit for bit.
 
 U256 random_u256(Rng& rng) {
@@ -520,23 +474,6 @@ std::vector<U256> chain_moduli() {
           U256::from_hex("fffffffffffffffffffffffffffffffe")};
 }
 
-TEST(MontgomeryDiff, MultiExpIdenticalFastOnAndOff) {
-  // multi_exp against the folded pow_mod product.
-  Rng rng(0x3017e);
-  for (const U256& m : chain_moduli()) {
-    for (const std::size_t count : {1u, 2u, 5u, 16u}) {
-      std::vector<MultiExpTerm> terms(count);
-      for (auto& t : terms) {
-        t.base = random_u256(rng);  // bases >= m are reduced
-        t.exponent = random_below(rng, m);
-      }
-      U256 expect(1);
-      for (const auto& t : terms) expect = mul_mod(expect, pow_mod(t.base, t.exponent, m), m);
-      EXPECT_EQ(multi_exp(terms, m), expect) << count << " terms mod " << m.to_hex();
-    }
-  }
-}
-
 TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
   // table.pow against pow_mod for every exponent the windows cover.
   Rng rng(0x7AB1E2);
@@ -663,10 +600,9 @@ core::ExperimentConfig diff_config() {
 }
 
 TEST(FastPathDiff, ExperimentJsonBitIdenticalWithRsSuiteBatchOnAndOff) {
-  // The engine suite folds every audit batch through the randomized
-  // multi-exponentiation over fixed-base tables ("batch on"); the reference
-  // suite checks each signature with the free schnorr_rs_verify ("batch
-  // off"). The serialized experiment must not be able to tell.
+  // The engine suite (fixed-base tables, Montgomery reduction) against the
+  // free-function reference suite, one signature per audit PoR on both
+  // sides. The serialized experiment must not be able to tell.
   core::ExperimentConfig cfg = diff_config();
   cfg.suite = make_schnorr_suite(SchnorrGroup::small_group());
   const std::string engine = core::to_json(core::run_experiment(cfg));

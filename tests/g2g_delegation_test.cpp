@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "g2g/obs/context.hpp"
 #include "proto_test_util.hpp"
 
 namespace g2g::proto {
@@ -81,6 +82,36 @@ TEST(G2GDelegation, HonestChainPassesSenderTest) {
   EXPECT_EQ(w.replicas(id), 3u);
   EXPECT_TRUE(w.collector().detections().empty());
 }
+
+class G2GDelegationForgedPor : public ::testing::TestWithParam<testutil::ForgedPorCase> {};
+
+TEST_P(G2GDelegationForgedPor, ForgedPorFailsThePorHalfAndConvicts) {
+  // The honest chain above, with relay 1's PoR from node 2 forged after it
+  // fulfilled its fan-out. The chain check leaves the malformed PoR to the
+  // PoR half, which verifies and traces both PoRs and fails the test.
+  obs::ObsContext obs;
+  testutil::EventRecordingSink sink;
+  obs.tracer.add_sink(&sink);
+  NetworkConfig cfg = fast_frames();
+  cfg.obs = &obs;
+  cfg.suite = testutil::forged_por_suite(GetParam());
+  G2GDWorld w(build(6, {warm(1, 5, 1, 10), warm(2, 5, 2, 100), warm(3, 5, 3, 200),
+                        {{0, 1, 2000, 2010},
+                         {1, 2, 2200, 2210},
+                         {1, 3, 2400, 2410},
+                         {0, 1, 2000 + kD1 + 60, 2000 + kD1 + 70}}}),
+              cfg);
+  w.send(0, 5, 1900);
+  w.network().simulator().at(TimePoint::from_seconds(3000.0), [&w] {
+    testutil::forge_first_por(w.node(1), GetParam().relay_keeps_msg);
+  });
+  w.run();
+  testutil::expect_forged_por_convicts(w, sink, 0, 1, {{NodeId(2), 0}, {NodeId(3), 1}});
+}
+
+INSTANTIATE_TEST_SUITE_P(Suites, G2GDelegationForgedPor,
+                         ::testing::ValuesIn(testutil::forged_por_cases()),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(G2GDelegation, CheaterCaughtByChainCheck) {
   // Node 1 is a cheater: it zeroes f_m when relaying, so node 2 — whose

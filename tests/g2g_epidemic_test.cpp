@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "g2g/obs/context.hpp"
 #include "proto_test_util.hpp"
 
 namespace g2g::proto {
@@ -177,6 +178,34 @@ TEST_P(G2GEpidemicTamper, TamperedStoredCopyFailsStorageProof) {
 
 INSTANTIATE_TEST_SUITE_P(StoredCopyEdits, G2GEpidemicTamper,
                          ::testing::ValuesIn(testutil::stored_copy_edits()),
+                         [](const auto& info) { return info.param.name; });
+
+class G2GEpidemicForgedPor : public ::testing::TestWithParam<testutil::ForgedPorCase> {};
+
+TEST_P(G2GEpidemicForgedPor, ForgedPorFailsThePorHalfAndConvicts) {
+  // Relay 1 fulfils its fan-out (PoRs from 2 and 3); the PoR from 2 is then
+  // forged. At the re-meet the source still verifies and traces both PoRs.
+  obs::ObsContext obs;
+  testutil::EventRecordingSink sink;
+  obs.tracer.add_sink(&sink);
+  NetworkConfig cfg = G2GWorld::default_config();
+  cfg.obs = &obs;
+  cfg.suite = testutil::forged_por_suite(GetParam());
+  G2GWorld w(make_trace(6, {{0, 1, 100, 110},
+                            {1, 2, 200, 210},
+                            {1, 3, 300, 310},
+                            {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}),
+             cfg);
+  w.send(0, 4, 50);
+  w.network().simulator().at(TimePoint::from_seconds(1000.0), [&w] {
+    testutil::forge_first_por(w.node(1), GetParam().relay_keeps_msg);
+  });
+  w.run();
+  testutil::expect_forged_por_convicts(w, sink, 0, 1, {{NodeId(2), 0}, {NodeId(3), 1}});
+}
+
+INSTANTIATE_TEST_SUITE_P(Suites, G2GEpidemicForgedPor,
+                         ::testing::ValuesIn(testutil::forged_por_cases()),
                          [](const auto& info) { return info.param.name; });
 
 TEST(G2GEpidemic, DropperCaughtOnReMeet) {

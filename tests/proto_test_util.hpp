@@ -3,13 +3,19 @@
 // interrogating nodes afterwards.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "g2g/crypto/schnorr.hpp"
+#include "g2g/crypto/suite.hpp"
 #include "g2g/metrics/collector.hpp"
+#include "g2g/obs/tracer.hpp"
 #include "g2g/proto/network.hpp"
 #include "g2g/trace/contact.hpp"
 
@@ -105,6 +111,80 @@ inline std::vector<StoredCopyEdit> stored_copy_edits() {
           {"FlipLastByte", [](Bytes& c) { c.back() ^= 0x80; }},
           {"AppendByte", [](Bytes& c) { c.push_back(0x00); }},
           {"DropByte", [](Bytes& c) { c.pop_back(); }}};
+}
+
+/// One forged-PoR audit case: the suite the run signs with, and whether the
+/// relay still holds the message's payload when its source audits it.
+struct ForgedPorCase {
+  std::string name;
+  bool schnorr;
+  bool relay_keeps_msg;
+};
+
+inline void PrintTo(const ForgedPorCase& c, std::ostream* os) { *os << c.name; }
+
+inline std::vector<ForgedPorCase> forged_por_cases() {
+  return {{"FastSuiteMsgDropped", false, false},
+          {"FastSuiteMsgKept", false, true},
+          {"SchnorrSuiteMsgDropped", true, false},
+          {"SchnorrSuiteMsgKept", true, true}};
+}
+
+/// A fresh suite per run: FastSuite keeps per-run key schedules.
+inline crypto::SuitePtr forged_por_suite(const ForgedPorCase& c) {
+  return c.schnorr ? crypto::make_schnorr_suite(crypto::SchnorrGroup::small_group())
+                   : crypto::make_fast_suite();
+}
+
+/// Collects every trace event of the run, in order.
+struct EventRecordingSink final : obs::EventSink {
+  void on_event(const obs::Event& e) override { events.push_back(e); }
+  std::vector<obs::Event> events;
+};
+
+/// Flip one signature byte of the first PoR `relay` holds for its only
+/// message, once it holds relay_fanout of them. With `keep_msg` the relay
+/// takes the payload back (and its buffer charge), as if it had never
+/// dropped it after fulfilling its fan-out.
+template <typename NodeT>
+void forge_first_por(NodeT& relay, bool keep_msg) {
+  auto& holds = relay.handshake().holds();
+  ASSERT_EQ(holds.size(), 1u);
+  auto& hold = holds.begin()->second;
+  ASSERT_EQ(hold.pors.size(), relay.config().relay_fanout);
+  hold.pors.front().taker_signature[5] ^= 0x01;
+  if (keep_msg && !hold.has_msg) {
+    hold.has_msg = true;
+    relay.buffer_changed(static_cast<std::int64_t>(hold.msg_bytes));
+  }
+}
+
+/// The audit of a relay whose first PoR was forged: the source traces
+/// PorVerified for every presented PoR in order (0 for the forged one),
+/// the PoR half fails, no storage proof is asked for (a full PoR set never
+/// carries one) and the relay is convicted by the test by the sender.
+template <typename NodeT>
+void expect_forged_por_convicts(World<NodeT>& w, const EventRecordingSink& sink,
+                                std::uint32_t source, std::uint32_t relay,
+                                const std::vector<std::pair<NodeId, std::int64_t>>& por_verdicts) {
+  std::vector<std::pair<NodeId, std::int64_t>> verified;
+  std::vector<std::int64_t> tests;
+  for (const obs::Event& e : sink.events) {
+    if (e.a != NodeId(source)) continue;
+    // The source's own relay-time check of the relay's PoR is not part of
+    // the audit.
+    if (e.kind == obs::EventKind::PorVerified && e.b != NodeId(relay)) {
+      verified.emplace_back(e.b, e.value);
+    }
+    if (e.kind == obs::EventKind::TestBySender && e.b == NodeId(relay)) tests.push_back(e.value);
+  }
+  EXPECT_EQ(verified, por_verdicts);
+  EXPECT_EQ(tests, std::vector<std::int64_t>{0});
+  EXPECT_EQ(w.network().obs().counters.storage_challenges->value(), 0u);
+  ASSERT_EQ(w.collector().detections().size(), 1u);
+  EXPECT_EQ(w.collector().detections()[0].culprit, NodeId(relay));
+  EXPECT_EQ(w.collector().detections()[0].method, metrics::DetectionMethod::TestBySender);
+  EXPECT_TRUE(w.collector().evictions().contains(NodeId(relay)));
 }
 
 }  // namespace g2g::proto::testutil

@@ -1,12 +1,11 @@
 // Reference Schnorr suite for differential tests.
 //
 // Built from the free schnorr_keygen / schnorr_rs_sign / schnorr_rs_verify /
-// dh_shared_secret functions, and it keeps the Suite base class's
-// per-signature verify_batch loop. make_schnorr_suite() computes the same
-// scheme through SchnorrEngine: fixed-base tables, cached Montgomery
-// parameters and the randomized batch check. Both must give byte-identical
-// keys, signatures, shared secrets and verdicts, so this suite is the oracle
-// the engine-backed suite is compared against.
+// dh_shared_secret functions. make_schnorr_suite() computes the same scheme
+// through SchnorrEngine: fixed-base tables and cached Montgomery
+// parameters. Both must give byte-identical keys, signatures, shared secrets
+// and verdicts, so this suite is the oracle the engine-backed suite is
+// compared against.
 #pragma once
 
 #include <memory>

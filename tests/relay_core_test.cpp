@@ -1,15 +1,18 @@
 // The relay core's accusation layer: PomLedger, the session's PoM gossip
 // loop (relay::gossip_poms) and the verify-then-blacklist step it drives
-// (ProtocolNode::learn_pom).
+// (ProtocolNode::learn_pom); and the session's endpoint check
+// (Session::peer_of), which keeps every charge on the session's two nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "g2g/obs/context.hpp"
 #include "g2g/obs/tracer.hpp"
 #include "g2g/proto/g2g_epidemic.hpp"
+#include "g2g/proto/relay/frames.hpp"
 #include "g2g/proto/relay/pom.hpp"
 #include "proto_test_util.hpp"
 
@@ -166,6 +169,33 @@ TEST(ProtocolNode, LearnPomGatesTheBlacklistOnTheEvidence) {
   // A node never learns accusations against itself.
   EXPECT_FALSE(w.node(0).learn_pom(signed_relay_failure_pom(w, /*culprit=*/0, /*accuser=*/1)));
   EXPECT_FALSE(w.node(0).blacklisted(NodeId(0)));
+}
+
+TEST(Session, SendFromANodeOutsideTheSessionThrowsAndChargesNobody) {
+  // Node 2 is not an endpoint of the 0-1 session: a frame or transfer from
+  // it must not land on either endpoint's bill.
+  G2GWorld w(make_trace(4, {{0, 1, 100, 110}}));
+  Network<G2GEpidemicNode>& net = w.network();
+  Session s(net, w.node(0), w.node(1));
+  const auto bill = [&](std::uint32_t n) {
+    const metrics::NodeCosts& c = w.collector().costs(NodeId(n));
+    return std::vector<std::uint64_t>{c.bytes_sent, c.bytes_received, c.signatures,
+                                      c.verifications};
+  };
+  const std::vector<std::vector<std::uint64_t>> before = {bill(0), bill(1), bill(2)};
+  const std::uint64_t encoded = net.obs().counters.frames_encoded->value();
+  const std::size_t used = s.bytes_used();
+
+  EXPECT_THROW((void)s.send(w.node(2), relay::PorRqstFrame{}), std::logic_error);
+  EXPECT_THROW(s.transfer(w.node(2), 100), std::logic_error);
+  EXPECT_THROW((void)s.peer_of(w.node(2)), std::logic_error);
+
+  EXPECT_EQ((std::vector<std::vector<std::uint64_t>>{bill(0), bill(1), bill(2)}), before);
+  EXPECT_EQ(net.obs().counters.frames_encoded->value(), encoded);
+  EXPECT_EQ(s.bytes_used(), used);
+  // The endpoints still map to each other.
+  EXPECT_EQ(&s.peer_of(w.node(0)), &w.node(1));
+  EXPECT_EQ(&s.peer_of(w.node(1)), &w.node(0));
 }
 
 TEST(PomLedger, RecordAndBlacklistAreIndependent) {

@@ -126,8 +126,7 @@ TEST_P(SuiteTest, DistinctKeygens) {
 TEST_P(SuiteTest, ArtifactsAndVerdictsIdenticalWithMontgomeryOnAndOff) {
   // Every suite must produce bit-identical keys, signatures, shared secrets,
   // and accept/reject verdicts to its oracle: the engine's Montgomery tables
-  // and batch check on one side, the free functions and the per-signature
-  // verify loop on the other.
+  // on one side, the free functions on the other.
   const SuitePtr sides[2] = {make(), oracle()};
   KeyPair kp[2];
   KeyPair peer[2];
@@ -146,18 +145,9 @@ TEST_P(SuiteTest, ArtifactsAndVerdictsIdenticalWithMontgomeryOnAndOff) {
     tampered_sig[5] ^= 0x10;
     Bytes tampered_msg = msg;
     tampered_msg[0] ^= 0x01;
-    const VerifyRequest reqs[] = {
-        {BytesView(kp[side].public_key), BytesView(msg), BytesView(sig[side])},
-        {BytesView(kp[side].public_key), BytesView(tampered_msg), BytesView(sig[side])},
-        {BytesView(kp[side].public_key), BytesView(msg), BytesView(tampered_sig)},
-    };
-    if (side == 0) {
-      suite.verify_batch(reqs, verdicts[side]);
-    } else {
-      for (std::size_t i = 0; i < 3; ++i) {
-        verdicts[side][i] = suite.verify(reqs[i].public_key, reqs[i].message, reqs[i].signature);
-      }
-    }
+    verdicts[side][0] = suite.verify(kp[side].public_key, msg, sig[side]);
+    verdicts[side][1] = suite.verify(kp[side].public_key, tampered_msg, sig[side]);
+    verdicts[side][2] = suite.verify(kp[side].public_key, msg, tampered_sig);
   }
   EXPECT_EQ(kp[0].public_key, kp[1].public_key);
   EXPECT_EQ(kp[0].secret_key, kp[1].secret_key);

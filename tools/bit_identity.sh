@@ -10,12 +10,15 @@
 # dissemination by gossip vs instant broadcast. Hoarders pass every test by
 # storage proof, so ext_hoarders' heavy-HMAC bill pins the energy model's
 # two-sided charge for every proof, however the simulator decides it.
-# Four traced g2gsim runs must also write byte-identical --trace-out JSONL,
+# Five traced g2gsim runs must also write byte-identical --trace-out JSONL,
 # compared by sha256. The two G2G runs (Epidemic vs 10 droppers, Delegation
 # Last-Contact vs 10 cheaters) pin every storage challenge, test verdict and
 # PoM in order, which the tables only summarize. The two vanilla runs
 # (Epidemic vs 10 droppers, Delegation Last-Contact) pin the order in which
 # offer_all relays buffered messages, which the trace records hop by hop.
+# The fifth repeats the Delegation cheater run on the Schnorr suite
+# (--schnorr), whose real signatures every table and other trace leave to
+# the symmetric emulation: it pins each PoR verdict of the sender's audit.
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -32,7 +35,8 @@ benches=(fig3_droppers_epidemic fig4_detection_g2g_epidemic fig5_deviations_dele
 traced=("epidemic_dropper:--protocol g2g-epidemic --deviation dropper --deviants 10"
         "delegation_lc_cheater:--protocol g2g-delegation-lc --deviation cheater --deviants 10"
         "vanilla_epidemic_dropper:--protocol epidemic --deviation dropper --deviants 10"
-        "vanilla_delegation_lc:--protocol delegation-lc")
+        "vanilla_delegation_lc:--protocol delegation-lc"
+        "schnorr_delegation_lc_cheater:--schnorr --protocol g2g-delegation-lc --deviation cheater --deviants 10")
 
 base="${1:-}"
 if [[ -z "$base" ]]; then
